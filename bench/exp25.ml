@@ -66,11 +66,11 @@ let workers = 2
 let shards = 3
 let key_range = 4096
 
-(* Below the 2-worker capacity of this single-core box (~9k/s): in an
-   overloaded regime, killing a shard RAISES survivor goodput (fail-fast
-   frees capacity) and time-to-recovery is meaningless.  The question
-   here is recovery of lost keyspace, not saturation behaviour — that is
-   EXP-20/23's ground. *)
+(* Below saturation (EXP-23 Part A: ~17k/s for one policy-free shard
+   on a 2-vCPU Xeon): in an overloaded regime, killing a shard RAISES
+   survivor goodput (fail-fast frees capacity) and time-to-recovery is
+   meaningless.  The question here is recovery of lost keyspace, not
+   saturation behaviour — that is EXP-20/23's ground. *)
 let rate = 6_000
 let deadline_std_ms = 20
 let mix = { Opgen.insert_pct = 20; delete_pct = 20 }

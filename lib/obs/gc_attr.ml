@@ -19,6 +19,7 @@ type snap = {
   major_collections : int;
   minor_words : float;  (** words allocated on the minor heap *)
   promoted_words : float;  (** words that survived into the major heap *)
+  direct_major_words : float;  (** allocated on the major heap directly *)
 }
 
 let zero =
@@ -27,10 +28,12 @@ let zero =
     major_collections = 0;
     minor_words = 0.;
     promoted_words = 0.;
+    direct_major_words = 0.;
   }
 
 let totals () =
   let s = Gc.quick_stat () in
+  let _, promoted, major = Gc.counters () in
   {
     minor_collections = s.Gc.minor_collections;
     major_collections = s.Gc.major_collections;
@@ -40,6 +43,7 @@ let totals () =
        [Gc.minor_words ()] reads the live allocation pointer. *)
     minor_words = Gc.minor_words ();
     promoted_words = s.Gc.promoted_words;
+    direct_major_words = major -. promoted;
   }
 
 let diff ~(before : snap) (after : snap) =
@@ -48,6 +52,7 @@ let diff ~(before : snap) (after : snap) =
     major_collections = after.major_collections - before.major_collections;
     minor_words = after.minor_words -. before.minor_words;
     promoted_words = after.promoted_words -. before.promoted_words;
+    direct_major_words = after.direct_major_words -. before.direct_major_words;
   }
 
 (* Stateful window: deltas since the previous [window] call (process start
@@ -64,5 +69,7 @@ let window () =
 let reset_window () = window_base := totals ()
 
 let pp ppf s =
-  Format.fprintf ppf "minor=%d major=%d minor_words=%.0f promoted=%.0f"
+  Format.fprintf ppf
+    "minor=%d major=%d minor_words=%.0f promoted=%.0f direct_major=%.0f"
     s.minor_collections s.major_collections s.minor_words s.promoted_words
+    s.direct_major_words

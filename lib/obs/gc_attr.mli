@@ -12,6 +12,7 @@ type snap = {
   major_collections : int;
   minor_words : float;  (** words allocated on the minor heap *)
   promoted_words : float;  (** words that survived into the major heap *)
+  direct_major_words : float;  (** allocated on the major heap directly *)
 }
 
 val zero : snap

@@ -155,6 +155,10 @@ let snapshot () =
   header buf "lf_gc_promoted_words_total"
     "Words promoted from the minor to the major heap" "counter";
   float_sample buf "lf_gc_promoted_words_total" [] gc.Gc_attr.promoted_words;
+  header buf "lf_gc_direct_major_words_total"
+    "Words allocated directly on the major heap" "counter";
+  float_sample buf "lf_gc_direct_major_words_total" []
+    gc.Gc_attr.direct_major_words;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -91,6 +91,36 @@ let config ?(seed = 1) ?(deadline = max_int) ?(retry = None)
     log_decisions;
   }
 
+(* How an admitted request will execute. *)
+type route =
+  | Via_primary
+  | Via_fallback  (* hints-off instance (No_hints degraded mode) *)
+  | Via_degraded_read  (* breaker open, read-only mode: single attempt *)
+
+(* A decision-log entry, kept as data and rendered by [decision_log]:
+   the request path never formats a string, whether the log is on or
+   off. *)
+type entry =
+  | L_admit of req * route
+  | L_reject of reject_reason * req
+  | L_served of req * bool
+  | L_failed of req * string
+  | L_retry of req * int * int  (* request, next attempt, delay *)
+  | L_breaker of Breaker.kind
+
+let entry_to_string (tick, e) =
+  let f = Printf.sprintf and r = req_to_string in
+  f "t=%d %s" tick
+    (match e with
+    | L_admit (q, Via_primary) -> "admit " ^ r q
+    | L_admit (q, Via_fallback) -> "admit " ^ r q ^ " (no-hints)"
+    | L_admit (q, Via_degraded_read) -> "admit " ^ r q ^ " (read-only)"
+    | L_reject (x, q) -> f "reject %s %s" (reason_to_string x) (r q)
+    | L_served (q, ok) -> f "served %s -> %b" (r q) ok
+    | L_failed (q, msg) -> f "failed %s: %s" (r q) msg
+    | L_retry (q, n, d) -> f "retry %s attempt=%d delay=%d" (r q) n d
+    | L_breaker k -> "breaker " ^ Breaker.kind_to_string k)
+
 type t = {
   cfg : config;
   primary : ops;
@@ -111,7 +141,7 @@ type t = {
   mutable n_budget_denied : int;
   mutable n_rejected : int array;  (* indexed like [all_reasons] *)
   mutable transitions : (int * string) list;  (* newest first *)
-  mutable log : string list;  (* newest first *)
+  mutable log : (int * entry) list;  (* (tick, entry), newest first *)
 }
 
 let create ?fallback ?batched cfg primary =
@@ -138,18 +168,14 @@ let create ?fallback ?batched cfg primary =
     log = [];
   }
 
-let with_mu t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let with_mu t f = Mutex.protect t.mu f
 
 let now t = Clock.now t.cfg.clock
 let clock t = t.cfg.clock
 
 (* Callers hold [mu]. *)
-let log_locked t fmt =
-  Printf.ksprintf
-    (fun s -> if t.cfg.log_decisions then t.log <- s :: t.log)
-    fmt
+let log_locked t ~tick e =
+  if t.cfg.log_decisions then t.log <- (tick, e) :: t.log
 
 let reason_index r =
   let rec go i = function
@@ -173,9 +199,8 @@ let set_breaker_locked t ~now:tick b' =
   t.breaker_st <- Some b';
   let after = Breaker.state b' in
   if before <> Some after then begin
-    let s = Breaker.kind_to_string after in
-    t.transitions <- (tick, s) :: t.transitions;
-    log_locked t "t=%d breaker %s" tick s
+    t.transitions <- (tick, Breaker.kind_to_string after) :: t.transitions;
+    log_locked t ~tick (L_breaker after)
   end
 
 (* Feed a completed execution into breaker and shed (under [mu]). *)
@@ -186,12 +211,6 @@ let observe_locked t ~now:tick ~ok ~latency =
   match t.shed_st with
   | None -> ()
   | Some s -> if ok then t.shed_st <- Some (Shed.observe s ~latency)
-
-(* How an admitted request will execute. *)
-type route =
-  | Via_primary
-  | Via_fallback  (* hints-off instance (No_hints degraded mode) *)
-  | Via_degraded_read  (* breaker open, read-only mode: single attempt *)
 
 let default_deadline t =
   if t.cfg.deadline = max_int then Deadline.none
@@ -277,8 +296,7 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
 let reject t ~now:tick r req =
   with_mu t (fun () ->
       t.n_rejected.(reason_index r) <- t.n_rejected.(reason_index r) + 1;
-      log_locked t "t=%d reject %s %s" tick (reason_to_string r)
-        (req_to_string req));
+      log_locked t ~tick (L_reject (r, req)));
   Rejected r
 
 let ops_for t = function
@@ -309,13 +327,13 @@ let served t ~route ~ok ~latency ~tick req =
          hit a duplicate) — the execution itself succeeded, which is
          what the breaker and the shed estimator observe. *)
       observe_locked t ~now:tick ~ok:true ~latency;
-      log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok);
+      log_locked t ~tick (L_served (req, ok)));
   Served ok
 
 let failed t ~tick req msg =
   with_mu t (fun () ->
       t.n_failed <- t.n_failed + 1;
-      log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg);
+      log_locked t ~tick (L_failed (req, msg)));
   Failed msg
 
 (* Execute one attempt with its span registered as the lane's current
@@ -369,8 +387,7 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
           let p = Option.get t.cfg.retry in
           let d = with_mu t (fun () -> Retry.delay p t.rng ~attempt) in
           with_mu t (fun () ->
-              log_locked t "t=%d retry %s attempt=%d delay=%d" t1
-                (req_to_string req) (attempt + 1) d);
+              log_locked t ~tick:t1 (L_retry (req, attempt + 1, d)));
           if Span.active ctx then
             Span.event ctx ~now:t1
               (Span.Retry_wait { attempt = attempt + 1; delay = d });
@@ -397,11 +414,7 @@ let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
   | `Execute route ->
       with_mu t (fun () ->
           t.inflight <- t.inflight + 1;
-          log_locked t "t=%d admit %s%s" tick (req_to_string req)
-            (match route with
-            | Via_primary -> ""
-            | Via_fallback -> " (no-hints)"
-            | Via_degraded_read -> " (read-only)"));
+          log_locked t ~tick (L_admit (req, route)));
       Fun.protect
         ~finally:(fun () -> with_mu t (fun () -> t.inflight <- t.inflight - 1))
         (fun () -> attempt_loop t ctx route req ~dl ~attempt:1)
@@ -520,4 +533,4 @@ let stats t =
         transitions = List.rev t.transitions;
       })
 
-let decision_log t = with_mu t (fun () -> List.rev t.log)
+let decision_log t = with_mu t (fun () -> List.rev_map entry_to_string t.log)

@@ -397,7 +397,26 @@ let test_gc_attr_monotone () =
     "counters monotone" true
     (d.Lf_obs.Gc_attr.minor_collections >= 0
     && d.Lf_obs.Gc_attr.major_collections >= 0
-    && d.Lf_obs.Gc_attr.promoted_words >= 0.)
+    && d.Lf_obs.Gc_attr.promoted_words >= 0.
+    && d.Lf_obs.Gc_attr.direct_major_words >= 0.)
+
+(* A 10k-word array is too large for the minor heap: it lands on the
+   major heap directly, which only [direct_major_words] sees. *)
+let test_gc_attr_direct_major () =
+  let a = Lf_obs.Gc_attr.totals () in
+  let big = Array.make 10_000 0 in
+  ignore (Sys.opaque_identity big);
+  let b = Lf_obs.Gc_attr.totals () in
+  let c = Lf_obs.Gc_attr.totals () in
+  let d = Lf_obs.Gc_attr.diff ~before:a b in
+  Alcotest.(check bool)
+    (Printf.sprintf "direct major grew by %.0f >= 10000"
+       d.Lf_obs.Gc_attr.direct_major_words)
+    true
+    (d.Lf_obs.Gc_attr.direct_major_words >= 10_000.);
+  Alcotest.(check bool)
+    "direct major monotone" true
+    ((Lf_obs.Gc_attr.diff ~before:b c).Lf_obs.Gc_attr.direct_major_words >= 0.)
 
 let test_gc_attr_window () =
   Lf_obs.Gc_attr.reset_window ();
@@ -430,6 +449,7 @@ let test_prometheus_gc_counters () =
           "lf_gc_major_collections_total";
           "lf_gc_minor_words_total";
           "lf_gc_promoted_words_total";
+          "lf_gc_direct_major_words_total";
         ])
 
 let test_chrome_trace_gc_counter () =
@@ -501,6 +521,8 @@ let () =
       ( "gc attribution",
         [
           Alcotest.test_case "totals monotone" `Quick test_gc_attr_monotone;
+          Alcotest.test_case "direct major words" `Quick
+            test_gc_attr_direct_major;
           Alcotest.test_case "window deltas" `Quick test_gc_attr_window;
           Alcotest.test_case "prometheus gc counters" `Quick
             test_prometheus_gc_counters;

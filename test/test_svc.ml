@@ -3,7 +3,8 @@
    issued), the shedding invariant (no admitted operation executes past
    its deadline), degraded modes through the pipeline, the coalesced
    batch path, chaos integration (rejections reported, never dropped),
-   and decision-log determinism under the manual clock. *)
+   decision-log determinism under the manual clock, and allocation
+   gates on the serve-shaped request path. *)
 
 module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
@@ -553,6 +554,154 @@ let test_chaos_through_svc () =
   Alcotest.(check bool) "survivors made progress" true
     (report.Runner.c_survivor_ops > 0)
 
+(* The log is observation only: the same scripted run (retries, a
+   breaker trip, read-only degrade, recovery through probes) gives the
+   same outcomes and stats with the log off as on, and the off run keeps
+   no log at all. *)
+let run_logged ~log_decisions =
+  let clock, advance = Clock.manual () in
+  let down = ref false in
+  let exec () = if !down then failwith "down" else true in
+  let ops =
+    {
+      Svc.insert = (fun _ _ -> exec ());
+      delete = (fun _ -> exec ());
+      find = (fun _ -> exec ());
+    }
+  in
+  let cfg =
+    Svc.config ~clock ~seed:3
+      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:5 ~max_delay:40 ()))
+      ~budget:(Retry.Budget.config ~capacity:6 ~refill_every:50 ())
+      ~breaker:
+        (Some
+           (Breaker.config ~window:200 ~min_calls:4 ~failure_pct:50
+              ~open_for:30 ~probes:2 ()))
+      ~backoff:advance ~log_decisions ()
+  in
+  let svc = Svc.create cfg ops in
+  let outcomes =
+    List.init 120 (fun i ->
+        advance 1;
+        down := i >= 20 && i < 50;
+        Svc.call svc
+          (match i mod 3 with
+          | 0 -> Svc.Insert (i, i)
+          | 1 -> Svc.Delete i
+          | _ -> Svc.Find i))
+  in
+  (outcomes, Svc.stats svc, Svc.decision_log svc)
+
+let test_log_off_equivalence () =
+  let out_on, st_on, log_on = run_logged ~log_decisions:true in
+  let out_off, st_off, log_off = run_logged ~log_decisions:false in
+  Alcotest.(check (list string))
+    "script trips and recovers" [ "open"; "half-open"; "closed" ]
+    (List.map snd st_on.Svc.transitions);
+  Alcotest.(check bool) "script retries" true (st_on.Svc.retries > 0);
+  Alcotest.(check bool) "on run logged" true (log_on <> []);
+  Alcotest.(check (list outcome)) "same outcomes" out_on out_off;
+  Alcotest.(check bool) "same stats" true (st_on = st_off);
+  Alcotest.(check (list string)) "off run logs nothing" [] log_off
+
+(* --- Allocation gates ---------------------------------------------------- *)
+
+(* Words [f ()] allocates: (minor, direct major).  Direct major is major
+   minus promoted: blocks allocated straight into the major heap, which
+   a [Gc.minor_words]-only count never sees.  Starting from an empty
+   minor heap keeps the count exact: without it, the first window after
+   a warm-up can read ~230k minor words high on OCaml 5.1. *)
+let words f =
+  Gc.minor ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  f ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))
+
+(* A pipeline configured the way [lfdict serve] configures it (deadline,
+   retry + budget, shed, breaker; no decision log) over a trivial
+   allocation-free dictionary, on a manual nanosecond clock. *)
+let serve_like_svc () =
+  let clock, advance = Clock.manual ~ticks_per_ms:1_000_000 () in
+  let ms = Clock.ms clock in
+  let cfg =
+    Svc.config ~clock ~deadline:(ms 50)
+      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
+      ~budget:(Retry.Budget.config ~capacity:100 ~refill_every:(ms 100) ())
+      ~shed:(Some (Shed.config ~max_queue:128 ~est_init:(ms 1) ()))
+      ~breaker:
+        (Some
+           (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
+              ~open_for:(ms 1000) ()))
+      ()
+  in
+  let ops =
+    {
+      Svc.insert = (fun _ _ -> true);
+      delete = (fun _ -> true);
+      find = (fun k -> k land 1 = 0);
+    }
+  in
+  (Svc.create cfg ops, advance)
+
+(* Measured 79.1 minor words per call (the breaker's, shed's and budget's
+   successor states, the mutex closures, the outcome); the bound adds a
+   ~7% margin.  Before the breaker's histogram copy was deleted a call
+   also put 5777 words straight on the major heap. *)
+let svc_minor_bound = 85
+
+let test_svc_call_alloc () =
+  let svc, advance = serve_like_svc () in
+  let reqs =
+    Array.init 64 (fun i ->
+        match i mod 3 with
+        | 0 -> Svc.Find i
+        | 1 -> Svc.Insert (i, i)
+        | _ -> Svc.Delete i)
+  in
+  let n = 20_000 in
+  let run () =
+    for i = 1 to n do
+      (* 100 us per call: the 1 s breaker window rotates twice a run. *)
+      advance 100_000;
+      ignore (Sys.opaque_identity (Svc.call svc reqs.(i land 63)))
+    done
+  in
+  run ();
+  let minor, major = words run in
+  let minor = minor /. float_of_int n and major = major /. float_of_int n in
+  Printf.printf "Svc.call: %.2f minor, %.4f direct major words/call\n" minor
+    major;
+  Alcotest.(check (float 0.)) "direct major words per call" 0. major;
+  (* An MGET/MSET line goes through [call_many]. *)
+  let batch = Array.to_list (Array.sub reqs 0 16) in
+  let _, major_many =
+    words (fun () ->
+        for _ = 1 to n / 16 do
+          advance 100_000;
+          ignore (Sys.opaque_identity (Svc.call_many svc batch))
+        done)
+  in
+  Alcotest.(check (float 0.)) "direct major words in call_many" 0. major_many;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per call %.1f <= %d" minor svc_minor_bound)
+    true
+    (minor <= float_of_int svc_minor_bound)
+
+let test_breaker_observe_alloc () =
+  let b =
+    ref (Breaker.create (Breaker.config ~window:1000 ~min_calls:10 ()) ~now:0)
+  in
+  let _, major =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          b := Breaker.observe !b ~now:i ~ok:true ~latency:(i land 255)
+        done)
+  in
+  Alcotest.(check string) "still closed" "closed"
+    (Breaker.kind_to_string (Breaker.state !b));
+  Alcotest.(check (float 0.)) "direct major words" 0. major
+
 (* --- Decision-log determinism ----------------------------------------- *)
 
 (* The whole admit/reject/retry sequence is a pure function of (seed,
@@ -645,5 +794,16 @@ let () =
             test_chaos_through_svc;
         ] );
       ( "determinism",
-        [ test_decision_determinism ] );
+        [
+          test_decision_determinism;
+          Alcotest.test_case "log off = log on, minus the log" `Quick
+            test_log_off_equivalence;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Svc.call as serve builds it" `Quick
+            test_svc_call_alloc;
+          Alcotest.test_case "Breaker.observe, closed" `Quick
+            test_breaker_observe_alloc;
+        ] );
     ]
