@@ -5,26 +5,28 @@
    experiment quantifies the payoff of the per-domain hint caches in three
    parts:
 
-   Part A (simulator): mean essential steps per operation on the FR list
-   and FR skip list, hints on vs off, under four key distributions -
+   Part A (simulator): mean essential steps per operation on the FR list,
+   hints on vs off, under four key distributions -
    uniform, hotspot (hot window parked mid-keyspace so wins cannot come
    from hot keys sitting next to the head), zipf, and global ascending
    inserts.  PASS: hints on improves steps/op by >= 1.5x for hotspot and
    ascending; uniform regression <= 5%.
 
-   Part B (wall-clock, Atomic_mem): throughput of the same structures with
+   Part B (wall-clock, Atomic_mem): throughput of the same structure with
    hints on/off.  Single-core machine: numbers measure overhead/locality,
    not parallel speedup.
 
    Part C (wall-clock): batched entry points (insert_batch/delete_batch/
    mem_batch, sorted batches carrying the predecessor element to element)
-   vs one-at-a-time, on the list, skip list and hash table. *)
+   vs one-at-a-time, on the list and hash table.
+
+   The skip list's tower-path cache and its rows were deleted: Part B
+   measured it slower in wall-clock time than plain searches. *)
 
 open Lf_workload
 
 module K = Lf_kernel.Ordered.Int
 module SimL = Lf_list.Fr_list.Make (K) (Lf_dsim.Sim_mem)
-module SimS = Lf_skiplist.Fr_skiplist.Make (K) (Lf_dsim.Sim_mem)
 
 let insert_only = { Opgen.insert_pct = 100; delete_pct = 0 }
 
@@ -88,28 +90,15 @@ type sim_run = {
   stats : Lf_kernel.Hint.stats option;
 }
 
-let run_sim ~structure ~use_hints c : sim_run =
-  let ops, hint_stats =
-    match structure with
-    | "fr-list" ->
-        let t = SimL.create_with ~use_hints ~use_flags:true () in
-        ( Sim_driver.
-            {
-              insert = (fun k -> SimL.insert t k k);
-              delete = (fun k -> SimL.delete t k);
-              find = (fun k -> SimL.mem t k);
-            },
-          fun () -> SimL.hint_stats t )
-    | "fr-skiplist" ->
-        let t = SimS.create_with ~use_hints () in
-        ( Sim_driver.
-            {
-              insert = (fun k -> SimS.insert t k k);
-              delete = (fun k -> SimS.delete t k);
-              find = (fun k -> SimS.mem t k);
-            },
-          fun () -> SimS.hint_stats t )
-    | s -> invalid_arg s
+let run_sim ~use_hints c : sim_run =
+  let t = SimL.create_with ~use_hints ~use_flags:true () in
+  let ops =
+    Sim_driver.
+      {
+        insert = (fun k -> SimL.insert t k k);
+        delete = (fun k -> SimL.delete t k);
+        find = (fun k -> SimL.mem t k);
+      }
   in
   let filled =
     if c.prefill = 0 then 0
@@ -130,7 +119,7 @@ let run_sim ~structure ~use_hints c : sim_run =
     steps_per_op =
       float_of_int (Lf_dsim.Sim.total_essential res) /. float_of_int n_ops;
     n_ops;
-    stats = hint_stats ();
+    stats = SimL.hint_stats t;
   }
 
 let part_a () =
@@ -144,8 +133,8 @@ let part_a () =
     (fun (structure, cases) ->
       List.iter
         (fun c ->
-          let off = run_sim ~structure ~use_hints:false c in
-          let on = run_sim ~structure ~use_hints:true c in
+          let off = run_sim ~use_hints:false c in
+          let on = run_sim ~use_hints:true c in
           let ratio = off.steps_per_op /. on.steps_per_op in
           let hs =
             match on.stats with
@@ -211,10 +200,7 @@ let part_a () =
               ])
         cases;
       print_newline ())
-    [
-      ("fr-list", sim_cases ~key_range:512 ~prefill:256 ~ops:600);
-      ("fr-skiplist", sim_cases ~key_range:4096 ~prefill:1024 ~ops:800);
-    ];
+    [ ("fr-list", sim_cases ~key_range:512 ~prefill:256 ~ops:600) ];
   !failures
 
 (* ------------------------------------------------------------------ *)
@@ -227,15 +213,6 @@ module L_off = struct
 
   let name = "fr-list(-h)"
   let create () = create_with ~use_hints:false ~use_flags:true ()
-end
-
-module S_on = Lf_skiplist.Fr_skiplist.Atomic_int
-
-module S_off = struct
-  include Lf_skiplist.Fr_skiplist.Atomic_int
-
-  let name = "fr-skiplist(-h)"
-  let create () = create_with ~use_hints:false ()
 end
 
 let part_b () =
@@ -272,12 +249,7 @@ let part_b () =
                     ("kops_per_s", F (r.ops_per_s /. 1000.));
                   ])
             [ 1; 2 ])
-        [
-          (module L_off : Runner.INT_DICT);
-          (module L_on);
-          (module S_off);
-          (module S_on);
-        ];
+        [ (module L_off : Runner.INT_DICT); (module L_on) ];
       print_newline ())
     [
       ("uniform", fun _did -> Keygen.uniform 1024);
@@ -331,7 +303,6 @@ let part_c () =
       print_newline ())
     [
       (module Lf_list.Fr_list.Atomic_int : Runner.INT_DICT_BATCHED);
-      (module Lf_skiplist.Fr_skiplist.Atomic_int);
       (module Lf_hashtable.Atomic_int);
     ]
 

@@ -55,13 +55,6 @@ module Fr_list_nohints = struct
   let create () = create_with ~use_hints:false ~use_flags:true ()
 end
 
-module Fr_skiplist_nohints = struct
-  include Lf_skiplist.Fr_skiplist.Atomic_int
-
-  let name = "fr-skiplist(-hints)"
-  let create () = create_with ~use_hints:false ()
-end
-
 module Lf_hashtable_nohints = struct
   include Lf_hashtable.Atomic_int
 
@@ -72,7 +65,6 @@ end
 let nohints_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
   [
     ("fr-list", (module Fr_list_nohints));
-    ("fr-skiplist", (module Fr_skiplist_nohints));
     ("lf-hashtable", (module Lf_hashtable_nohints));
   ]
 
@@ -119,7 +111,6 @@ let batched_impls ~hints :
   else
     [
       ("fr-list", (module Fr_list_nohints));
-      ("fr-skiplist", (module Fr_skiplist_nohints));
       ("lf-hashtable", (module Lf_hashtable_nohints));
     ]
 
@@ -218,8 +209,8 @@ let hints_arg =
     & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "hints" ] ~docv:"on|off"
         ~doc:
-          "Per-domain predecessor caches (fr-list, fr-skiplist, \
-           lf-hashtable).  $(b,off) recreates the EXP-17 ablation baseline.")
+          "Per-domain predecessor caches (fr-list, lf-hashtable).  $(b,off) \
+           recreates the EXP-17 ablation baseline.")
 
 let reuse_arg =
   Arg.(
@@ -262,8 +253,7 @@ let throughput_cmd =
           | Some m -> m
           | None ->
               Printf.eprintf "--batch is available for: %s\n"
-                (String.concat ", "
-                   (List.map fst (batched_impls ~hints:true)));
+                (String.concat ", " (List.map fst (batched_impls ~hints)));
               exit 2
         in
         Lf_workload.Runner.run_throughput_batched

@@ -17,15 +17,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = 'a SL.t
 
-  let create ?(max_level = 24) ?(use_hints = true)
-      ?(reuse_descriptors = true) () =
-    SL.create_with ~max_level ~use_hints ~reuse_descriptors ()
+  let create ?(max_level = 24) ?(reuse_descriptors = true) () =
+    SL.create_with ~max_level ~reuse_descriptors ()
 
   let push t prio v = SL.insert t prio v
   let pop_min t = SL.delete_min t
 
-  (* Batched push (the skip list's key-ordered carry applies); results in
-     input order.  [pop_min_batch] pops up to [n] elements, smallest first;
+  (* Batched push (the skip list's key-ordered batch); results in input
+     order.  [pop_min_batch] pops up to [n] elements, smallest first;
      each pop claims its element exactly once, as in the unbatched case. *)
   let push_batch t pvs = SL.insert_batch t pvs
 
@@ -63,8 +62,8 @@ module Stamped (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = { q : 'a Q.t; stamp : int Atomic.t }
 
-  let create ?max_level ?use_hints ?reuse_descriptors () =
-    { q = Q.create ?max_level ?use_hints ?reuse_descriptors ();
+  let create ?max_level ?reuse_descriptors () =
+    { q = Q.create ?max_level ?reuse_descriptors ();
       stamp = Atomic.make 0 }
 
   let push t prio v =

@@ -11,12 +11,10 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create :
-    ?max_level:int -> ?use_hints:bool -> ?reuse_descriptors:bool -> unit -> 'a t
-  (** [use_hints] (default [true]) and [reuse_descriptors] (default [true],
-      descriptor interning — the EXP-22 ablation when [false]) are
-      forwarded to the underlying skip list (see
-      [Fr_skiplist.create_with]). *)
+  val create : ?max_level:int -> ?reuse_descriptors:bool -> unit -> 'a t
+  (** [reuse_descriptors] (default [true], descriptor interning — the
+      EXP-22 ablation when [false]) is forwarded to the underlying skip
+      list (see [Fr_skiplist.create_with]). *)
 
   val push : 'a t -> K.t -> 'a -> bool
   (** [false] if this priority is already queued. *)
@@ -25,8 +23,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val peek_min : 'a t -> (K.t * 'a) option
 
   val push_batch : 'a t -> (K.t * 'a) list -> bool list
-  (** Batched push via the skip list's key-ordered predecessor carrying;
-      results in input order. *)
+  (** Batched push via the skip list's key-ordered batch; results in input
+      order. *)
 
   val pop_min_batch : 'a t -> int -> (K.t * 'a) list
   (** Pop up to [n] elements, smallest first; each element is claimed by
@@ -42,8 +40,7 @@ end
 module Stamped (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create :
-    ?max_level:int -> ?use_hints:bool -> ?reuse_descriptors:bool -> unit -> 'a t
+  val create : ?max_level:int -> ?reuse_descriptors:bool -> unit -> 'a t
 
   val push : 'a t -> int -> 'a -> unit
   val pop_min : 'a t -> (int * 'a) option

@@ -30,7 +30,6 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
-  module H = Lf_kernel.Hint.Make (M)
 
   type key = K.t
 
@@ -56,13 +55,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   and 'a succ = { right : 'a link; mark : bool; flag : bool }
   and 'a link = Null | Node of 'a node
 
-  (* A remembered tower path (Foresight-style): [levels.(l-1)] is the last
-     node a search ended on at level l ([Null] = nothing remembered), [top]
-     the highest level with an entry.  One path per domain lives in the
-     hint cache; batches thread a private one.  Every entry is re-validated
-     before use, so a path may be arbitrarily stale. *)
-  type 'a hint_path = { mutable top : int; levels : 'a link array }
-
   type 'a t = {
     max_level : int;
     heads : 'a node array; (* heads.(l-1) is the -inf sentinel of level l *)
@@ -70,7 +62,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     help_superfluous : bool;
     use_backoff : bool;
     reuse_descriptors : bool; (* [false] = allocating EXP-22 ablation *)
-    hints : 'a hint_path H.t option; (* [None] = hints-off ablation *)
   }
 
   let name = "fr-skiplist"
@@ -112,8 +103,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
   let create_with ?(max_level = 24) ?(help_superfluous = true)
-      ?(use_hints = true) ?(use_backoff = false) ?(reuse_descriptors = true)
-      () =
+      ?(use_backoff = false) ?(reuse_descriptors = true) () =
     let tail_succ = { right = Null; mark = false; flag = false } in
     let tail =
       {
@@ -148,9 +138,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         };
       annotate_node ~head:true ~sentinel:true ~level:l heads.(l - 1)
     done;
-    let hints = if use_hints then Some (H.create ()) else None in
-    { max_level; heads; tail; help_superfluous; use_backoff;
-      reuse_descriptors; hints }
+    { max_level; heads; tail; help_superfluous; use_backoff; reuse_descriptors }
 
   let create () = create_with ()
   let head_at t l = t.heads.(l - 1)
@@ -253,48 +241,62 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
     else p
 
-  (* SEARCHRIGHT: traverse one level starting at [curr] (curr.key <= k or
-     curr is a head), helping physical deletions of marked nodes and - in
-     the default mode - deleting superfluous towers encountered on the way.
-     Returns (n1, n2) with n1.key <= k < n2.key (inclusive) or
-     n1.key < k <= n2.key (exclusive), adjacent at some instant. *)
-  let rec search_right t ~inclusive k curr0 =
-    let goes_past key = if inclusive then BK.le key k else BK.lt key k in
-    let rec loop curr next =
-      if not (goes_past next.key) then (curr, next)
-      else
-        let nsucc = M.get next.succ in
-        if nsucc.mark then begin
-          let cs = M.get curr.succ in
-          if (not cs.mark) || not (same_node cs.right next) then begin
-            if same_node cs.right next then help_marked t curr next;
-            M.event Ev.Next_update;
-            loop curr (as_node (M.get curr.succ).right)
-          end
-          else begin
-            (* curr and next both marked and adjacent: step through. *)
-            M.event Ev.Curr_update;
-            loop next (as_node (M.get next.succ).right)
-          end
-        end
-        else if t.help_superfluous && is_superfluous next then begin
-          (* Delete the superfluous node from this level (Section 4:
-             searches perform all three deletion steps if necessary). *)
-          match try_flag_node t curr next with
-          | Some prev, _we_flagged ->
-              help_flagged t prev next;
-              M.event Ev.Next_update;
-              loop prev (as_node (M.get prev.succ).right)
-          | None, _ ->
-              M.event Ev.Next_update;
-              loop curr (as_node (M.get curr.succ).right)
+  (* Does a search for [k] step past a node keyed [key]?  Inclusive searches
+     stop before the first key > k, exclusive ones before the first >= k. *)
+  let goes_past ~inclusive k key =
+    if inclusive then BK.le key k else BK.lt key k
+
+  (* SEARCHRIGHT and the SEARCHTOLEVEL_SL descent as one loop.  [walk]
+     traverses level [level] from [curr] (curr.key <= k or curr is a head;
+     [next] is the successor just read from it), helping physical deletions
+     of marked nodes and - in the default mode - deleting superfluous towers
+     encountered on the way.  When the level ends it steps down through
+     [curr.down] while [level > v]; at level [v] it returns (n1, n2) with
+     n1.key <= k < n2.key (inclusive) or n1.key < k <= n2.key (exclusive),
+     adjacent at some instant.  A top-level loop with no closures: a whole
+     descent allocates only the returned window. *)
+  let rec walk t ~inclusive k ~v ~level curr next =
+    if not (goes_past ~inclusive k next.key) then
+      if level > v then
+        let down = as_node curr.down in
+        walk t ~inclusive k ~v ~level:(level - 1) down
+          (as_node (M.get down.succ).right)
+      else (curr, next)
+    else
+      let nsucc = M.get next.succ in
+      if nsucc.mark then begin
+        let cs = M.get curr.succ in
+        if (not cs.mark) || not (same_node cs.right next) then begin
+          if same_node cs.right next then help_marked t curr next;
+          M.event Ev.Next_update;
+          walk t ~inclusive k ~v ~level curr (as_node (M.get curr.succ).right)
         end
         else begin
+          (* curr and next both marked and adjacent: step through. *)
           M.event Ev.Curr_update;
-          loop next (as_node (M.get next.succ).right)
+          walk t ~inclusive k ~v ~level next (as_node (M.get next.succ).right)
         end
-    in
-    loop curr0 (as_node (M.get curr0.succ).right)
+      end
+      else if t.help_superfluous && is_superfluous next then begin
+        (* Delete the superfluous node from this level (Section 4:
+           searches perform all three deletion steps if necessary). *)
+        match try_flag_node t curr next with
+        | Some prev, _we_flagged ->
+            help_flagged t prev next;
+            M.event Ev.Next_update;
+            walk t ~inclusive k ~v ~level prev (as_node (M.get prev.succ).right)
+        | None, _ ->
+            M.event Ev.Next_update;
+            walk t ~inclusive k ~v ~level curr (as_node (M.get curr.succ).right)
+      end
+      else begin
+        M.event Ev.Curr_update;
+        walk t ~inclusive k ~v ~level next (as_node (M.get next.succ).right)
+      end
+
+  (* SEARCHRIGHT on one level, from [curr]. *)
+  and search_right t ~inclusive k curr =
+    walk t ~inclusive k ~v:0 ~level:0 curr (as_node (M.get curr.succ).right)
 
   (* TRYFLAGNODE: flag the in-level predecessor of [target], relocating via
      backlinks and a level-local search when interference hits.  Returns
@@ -338,142 +340,30 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | Node n -> n != t.tail
     | Null -> false
 
-  (* FINDSTART_SL: the highest level that has content (or [v] if higher). *)
-  let find_start t v =
-    let rec go l =
-      if l < t.max_level && (l < v || level_nonempty t (l + 1)) then go (l + 1)
-      else l
-    in
-    let lvl = go 1 in
-    (head_at t lvl, lvl)
+  (* FINDSTART_SL: the highest level that has content (or [v] if higher),
+     scanning up from level [l]. *)
+  let rec find_start t v l =
+    if l < t.max_level && (l < v || level_nonempty t (l + 1)) then
+      find_start t v (l + 1)
+    else l
 
-  (* --- Hint paths (Section 3.2's guarantee as an optimization). ---
+  (* SEARCHTOLEVEL_SL: descend from FINDSTART_SL's level, searching right
+     at each level, until level [v]; returns the (n1, n2) window at level
+     v. *)
+  let search_to_level t ~inclusive k v =
+    let v = Int.min v t.max_level in
+    let level = find_start t v 1 in
+    let start = head_at t level in
+    walk t ~inclusive k ~v ~level start (as_node (M.get start.succ).right)
 
-     A level-l search may start at any node that was once linked at level l
-     and is currently unmarked there with key <= the target (< for
-     exclusive searches): level l runs the Section 3 list protocol, under
-     which unmarked nodes are never unlinked.  A marked candidate recovers
-     leftward through its level-l backlinks; a candidate that is still
-     unusable falls back to that level's head. *)
-
-  let rec unmark_left t ~level n =
-    if (M.get n.succ).mark then begin
-      M.event Ev.Backlink_step;
-      match M.get n.backlink with
-      | Null -> head_at t level
-      | Node p -> unmark_left t ~level p
-    end
-    else n
-
-  (* A validated candidate from a path entry, or [None].  Superfluous
-     candidates (upper nodes of a tower whose root is marked) are rejected
-     even though they are unmarked at their own level: the tower may have
-     been logically deleted before this operation began, so adopting one
-     could descend into the dead tower and observe its old binding — a
-     non-linearizable read — besides starting past a node the search is
-     responsible for helping to unlink. *)
-  let path_candidate t ~inclusive k ~level link =
-    match link with
-    | Null -> None
-    | Node c ->
-        let c = unmark_left t ~level c in
-        if
-          (not (is_superfluous c))
-          && (if inclusive then BK.le c.key k else BK.lt c.key k)
-        then Some c
-        else None
-
-  let mk_path t = { top = 1; levels = Array.make t.max_level Null }
-
-  (* The calling domain's path, created on first use.  [None] iff hints are
-     off. *)
-  let op_path t =
-    match t.hints with
-    | None -> None
-    | Some h -> (
-        match H.load h with
-        | Some p -> Some p
-        | None ->
-            let p = mk_path t in
-            H.store h p;
-            Some p)
-
-  (* SEARCHTOLEVEL_SL: descend, searching right at each level, until level
-     [v]; returns the (n1, n2) window at level v.
-
-     Without a path (hints off) this descends from FINDSTART_SL's level
-     exactly as the paper writes it.  With a path — [?path] threads one
-     explicitly (batches, tower building); otherwise the domain's cached
-     path is used — the search starts at [max v path.top] (self-correcting
-     one level upward per search while taller content exists), at each
-     level adopts whichever is further right of the descended node and the
-     validated path entry, and re-records the path on the way down.
-     [account] classifies the search in the hint-cache statistics; only
-     domain-cache-resolved searches account.  [full] forces the descent to
-     begin at FINDSTART_SL's level even with a path: the cleanup search
-     after a deletion must visit every level the dead tower might occupy,
-     which a path that tops out below the tower would skip. *)
-  let search_to_level ?path ?(account = false) ?(full = false) t ~inclusive k v
-      =
-    let v = min v t.max_level in
-    let with_path p used =
-      let start_level =
-        let s = max v (min p.top t.max_level) in
-        let s = if full then max s (snd (find_start t v)) else s in
-        if s < t.max_level && level_nonempty t (s + 1) then s + 1 else s
-      in
-      let rec descend curr level =
-        let curr =
-          match path_candidate t ~inclusive k ~level p.levels.(level - 1) with
-          | Some c when BK.le curr.key c.key ->
-              if c != curr && c != head_at t level then used := true;
-              c
-          | _ -> curr
-        in
-        let curr, next = search_right t ~inclusive k curr in
-        p.levels.(level - 1) <- Node curr;
-        if level > v then descend (as_node curr.down) (level - 1)
-        else (curr, next)
-      in
-      let r = descend (head_at t start_level) start_level in
-      p.top <- start_level;
-      r
-    in
-    match path with
-    | Some p -> with_path p (ref false)
-    | None -> (
-        match t.hints with
-        | None ->
-            let start, level = find_start t v in
-            let rec descend curr level =
-              let curr, next = search_right t ~inclusive k curr in
-              if level > v then descend (as_node curr.down) (level - 1)
-              else (curr, next)
-            in
-            descend start level
-        | Some h ->
-            let p, fresh =
-              match H.load h with
-              | Some p -> (p, false)
-              | None ->
-                  let p = mk_path t in
-                  H.store h p;
-                  (p, true)
-            in
-            let used = ref false in
-            let r = with_path p used in
-            if account then
-              if fresh then H.note_miss h
-              else if !used then H.note_hit h
-              else H.note_stale h;
-            r)
-
-  let hint_stats t = Option.map H.totals t.hints
+  (* The skip list keeps no search cache; kept so callers can report hint
+     statistics uniformly across structures. *)
+  let hint_stats (_ : _ t) : Lf_kernel.Hint.stats option = None
 
   (* SEARCH_SL. *)
   let find t k =
     let kb = Lf_kernel.Ordered.Mid k in
-    let curr, _ = search_to_level ~account:true t ~inclusive:true kb 1 in
+    let curr, _ = search_to_level t ~inclusive:true kb 1 in
     if BK.equal curr.key kb then curr.elt else None
 
   let mem t k = Option.is_some (find t k)
@@ -550,16 +440,42 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let rec go h = if h < t.max_level && flip () then go (h + 1) else h in
     go 1
 
+  (* Build a tower bottom-up from [level], [last] being the node just
+     linked one level below; stop if the root gets marked. *)
+  let rec build_tower t kb root ~height level last =
+    if level <= height && not (M.get root.succ).mark then begin
+      let prev, next = search_to_level t ~inclusive:true kb level in
+      if BK.equal prev.key kb then begin
+        (* A same-key node from an old superfluous tower blocks this level;
+           the search that found it is also removing it (or our own root
+           got marked) - retry. *)
+        M.event Ev.Retry;
+        if not (M.get root.succ).mark then
+          build_tower t kb root ~height level last
+      end
+      else
+        match
+          insert_node t ~key:kb ~elt:None ~down:(Node last)
+            ~tower_root:(Node root) ~level prev next
+        with
+        | _, `Duplicate ->
+            M.event Ev.Retry;
+            if not (M.get root.succ).mark then
+              build_tower t kb root ~height level last
+        | prev', `Inserted nn ->
+            if (M.get root.succ).mark then
+              (* The tower became superfluous while we were building it:
+                 undo the node we just added. *)
+              ignore (delete_node t prev' nn)
+            else build_tower t kb root ~height (level + 1) nn
+    end
+
   (* INSERT_SL with an explicit tower height (used by tests and by the
-     deterministic experiments; [insert] draws the height by coin flips).
-     [?path] threads an explicit tower path (batches); otherwise the
-     domain's cached path is used, so the upper-level searches of the
-     ascend loop reuse the lower levels' just-recorded positions instead of
-     re-descending from the top. *)
-  let insert_with_path ?path t ~height k e =
+     deterministic experiments; [insert] draws the height by coin flips). *)
+  let insert_with_height t ~height k e =
     let height = max 1 (min height t.max_level) in
     let kb = Lf_kernel.Ordered.Mid k in
-    let prev, next = search_to_level ?path ~account:true t ~inclusive:true kb 1 in
+    let prev, next = search_to_level t ~inclusive:true kb 1 in
     if BK.equal prev.key kb then false
     else begin
       match
@@ -567,74 +483,32 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           ~level:1 prev next
       with
       | _, `Duplicate -> false
-      | prev, `Inserted root ->
-          let path = match path with Some _ as p -> p | None -> op_path t in
-          (* Build the tower bottom-up; stop if the root gets marked. *)
-          let rec ascend level last prev_hint =
-            ignore prev_hint;
-            if level > height then true
-            else if (M.get root.succ).mark then true
-            else begin
-              let prev, next = search_to_level ?path t ~inclusive:true kb level in
-              if BK.equal prev.key kb then begin
-                (* A same-key node from an old superfluous tower blocks this
-                   level; the search that found it is also removing it (or
-                   our own root got marked) - retry. *)
-                M.event Ev.Retry;
-                if (M.get root.succ).mark then true
-                else ascend level last prev
-              end
-              else
-                match
-                  insert_node t ~key:kb ~elt:None ~down:(Node last)
-                    ~tower_root:(Node root) ~level prev next
-                with
-                | _, `Duplicate ->
-                    M.event Ev.Retry;
-                    if (M.get root.succ).mark then true else ascend level last prev
-                | prev', `Inserted nn ->
-                    if (M.get root.succ).mark then begin
-                      (* The tower became superfluous while we were building
-                         it: undo the node we just added. *)
-                      ignore (delete_node t prev' nn);
-                      true
-                    end
-                    else ascend (level + 1) nn prev'
-            end
-          in
-          ignore (ascend 2 root prev);
+      | _, `Inserted root ->
+          build_tower t kb root ~height 2 root;
           true
     end
 
-  let insert_with_height t ~height k e = insert_with_path t ~height k e
-  let insert t k e = insert_with_path t ~height:(random_height t) k e
+  let insert t k e = insert_with_height t ~height:(random_height t) k e
 
   (* DELETE_SL: delete the root (linearization: its marking), then let a
      search clean the upper levels of the now-superfluous tower. *)
-  let delete_with ?path t k =
+  let delete t k =
     let kb = Lf_kernel.Ordered.Mid k in
-    let prev, del = search_to_level ?path ~account:true t ~inclusive:false kb 1 in
+    let prev, del = search_to_level t ~inclusive:false kb 1 in
     if not (BK.equal del.key kb) then false
     else begin
       match delete_node t prev del with
       | `Deleted_by_us ->
-          if t.help_superfluous && t.max_level >= 2 then begin
-            let path = match path with Some _ as p -> p | None -> op_path t in
-            ignore (search_to_level ?path ~full:true t ~inclusive:true kb 2)
-          end;
+          if t.help_superfluous && t.max_level >= 2 then
+            ignore (search_to_level t ~inclusive:true kb 2);
           true
       | `Deleted_by_other | `Gone -> false
     end
 
-  let delete t k = delete_with t k
-
-  (* Batched operations (the Traeff-Poeter "pragmatic" pattern): process
-     the batch in key order threading one private tower path, so a batch
-     of b nearby keys descends from the top once and then crawls right.
-     Entries are re-validated before every use, so the batch is safe under
-     full concurrency; results are in the caller's original order, and each
+  (* Batched operations: the batch runs in key order, each element as the
+     plain operation, with results in the caller's original order; each
      element linearizes independently inside the batch call. *)
-  let run_batch t ~key_of ~f elems =
+  let run_batch ~key_of ~f elems =
     let arr = Array.of_list elems in
     let n = Array.length arr in
     let order = Array.init n Fun.id in
@@ -644,26 +518,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if c <> 0 then c else Int.compare i j)
       order;
     let results = Array.make n false in
-    let path = mk_path t in
-    Array.iter (fun i -> results.(i) <- f ~path arr.(i)) order;
+    Array.iter (fun i -> results.(i) <- f arr.(i)) order;
     Array.to_list results
 
   let insert_batch t kvs =
-    run_batch t ~key_of:fst
-      ~f:(fun ~path (k, e) ->
-        insert_with_path ~path t ~height:(random_height t) k e)
-      kvs
+    run_batch ~key_of:fst ~f:(fun (k, e) -> insert t k e) kvs
 
-  let delete_batch t ks =
-    run_batch t ~key_of:Fun.id ~f:(fun ~path k -> delete_with ~path t k) ks
-
-  let mem_batch t ks =
-    run_batch t ~key_of:Fun.id
-      ~f:(fun ~path k ->
-        let kb = Lf_kernel.Ordered.Mid k in
-        let curr, _ = search_to_level ~path t ~inclusive:true kb 1 in
-        BK.equal curr.key kb && Option.is_some curr.elt)
-      ks
+  let delete_batch t ks = run_batch ~key_of:Fun.id ~f:(delete t) ks
+  let mem_batch t ks = run_batch ~key_of:Fun.id ~f:(mem t) ks
 
   (* Lotan-Shavit style delete-min on the root level: claim the leftmost
      regular root via the three-step deletion.  Quiescently consistent (a
@@ -678,7 +540,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           match delete_node t head first with
           | `Deleted_by_us ->
               if t.help_superfluous && t.max_level >= 2 then
-                ignore (search_to_level ~full:true t ~inclusive:true first.key 2);
+                ignore (search_to_level t ~inclusive:true first.key 2);
               (match (first.key, first.elt) with
               | Mid k, Some e -> Some (k, e)
               | _ -> None)
@@ -733,7 +595,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       in
       go curr
     in
-    let start, level = find_start t 1 in
+    let level = find_start t 1 1 in
+    let start = head_at t level in
     let rec descend curr level =
       let curr = rightmost curr in
       if level > 1 then descend (as_node curr.down) (level - 1) else curr

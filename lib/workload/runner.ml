@@ -278,15 +278,28 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
     Lf_kernel.Lane.clear ()
   in
   let ds = List.init domains (fun i -> Domain.spawn (fun () -> work i)) in
+  (* An op in flight is charged only the time the monitor saw pass between
+     two of its own polls, each poll gap capped at [max_gap_s].  A longer
+     gap means the monitor itself was stopped: a stop-the-world collection
+     stops every domain, the monitor included, and so does a descheduled
+     vCPU, so such a gap is no evidence of one lane starving another.  A
+     lane blocked behind a stalled lock holder accrues time at every poll.
+     [seen] is the start stamp of the op each lane was last charged for. *)
+  let max_gap_s = 0.005 in
   let worst = Array.make domains 0. in
+  let charged = Array.make domains 0. in
+  let seen = Array.make domains (-1) in
   let ops_at_close = Array.make domains 0 in
   enter ();
   let t0 = now () in
   let close_t = ref t0 in
   let closed = ref false in
+  let last_poll = ref t0 in
   let all_settled () = Array.for_all (fun s -> Atomic.get s <> 0) state in
   while not (!closed && all_settled ()) do
     let tn = now () in
+    let gap = Float.min (tn -. !last_poll) max_gap_s in
+    last_poll := tn;
     if (not !closed) && tn -. t0 >= window_s then begin
       Array.iteri (fun i c -> ops_at_close.(i) <- Atomic.get c) completed;
       close_t := tn;
@@ -296,8 +309,13 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
     for i = 0 to domains - 1 do
       let s = Atomic.get op_start.(i) in
       if s >= 0 then begin
-        let lat = tn -. t_origin -. (float_of_int s /. 1e6) in
-        if lat > worst.(i) then worst.(i) <- lat
+        if s <> seen.(i) then begin
+          seen.(i) <- s;
+          let since_start = tn -. t_origin -. (float_of_int s /. 1e6) in
+          charged.(i) <- Float.max 0. (Float.min since_start gap)
+        end
+        else charged.(i) <- charged.(i) +. gap;
+        if charged.(i) > worst.(i) then worst.(i) <- charged.(i)
       end
     done;
     Unix.sleepf 0.0005

@@ -77,7 +77,7 @@ type chaos_report = {
   c_budget_s : float;  (** per-operation latency budget *)
   c_ops : int array;  (** per-lane operations completed within the window *)
   c_crashed : int list;  (** lanes stopped by an injected [Fault.Crashed] *)
-  c_worst_latency_s : float array;  (** per-lane worst observed op latency *)
+  c_worst_latency_s : float array;  (** per-lane worst charged op latency *)
   c_starved : (int * float) list;
       (** non-victim lanes whose worst latency exceeded the budget *)
   c_watchdog_tripped : bool;  (** [c_starved <> []] *)
@@ -110,7 +110,11 @@ val run_chaos :
     run the mix for [window_s] (default 0.2s) and report.  Instead of
     joining blindly, the monitor polls per-lane heartbeats, so a lane
     blocked past [budget_s] (default 0.05s) is {e reported} as starved
-    rather than hanging the harness.  A lane that raises
+    rather than hanging the harness.  An operation is charged only for
+    time the monitor saw pass between its own polls, each gap capped at
+    5 ms: a longer gap means the monitor was stopped too (a
+    stop-the-world collection, a descheduled vCPU), which is no evidence
+    that one lane starves another.  A lane that raises
     [Lf_fault.Fault.Crashed] stops and is listed in [c_crashed]; its
     half-done operation stays in the structure for survivors to help.
 

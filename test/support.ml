@@ -65,3 +65,16 @@ let assert_linearizable h =
   | Lf_lin.Checker.Linearizable -> ()
   | Lf_lin.Checker.Not_linearizable ->
       Alcotest.failf "history not linearizable:@\n%a" Lf_lin.History.pp h
+
+(* Words [f ()] allocates: (minor, direct major).  Direct major is major
+   minus promoted (from [Gc.counters]): blocks allocated straight into the
+   major heap, which a minor-words-only count never sees.  Minor words come
+   from [Gc.minor_words]: on OCaml 5.1 the minor count of [Gc.counters]
+   lags within a minor-heap cycle, so a short window under-reads (a
+   20k-cons loop reads 0.38 words per cons instead of 3). *)
+let words f =
+  Gc.minor ();
+  let mi0 = Gc.minor_words () and _, pr0, ma0 = Gc.counters () in
+  f ();
+  let mi1 = Gc.minor_words () and _, pr1, ma1 = Gc.counters () in
+  (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))

@@ -623,6 +623,56 @@ let test_domain_stress () =
   D.check_invariants t;
   Alcotest.(check int) "conservation" (Atomic.get net) (D.length t)
 
+(* --- Allocation gate --- *)
+
+(* A seeded op stream over 8192 keys against a skip list preloaded with
+   every even key (4096 towers): [find_pct]% finds, the rest split evenly
+   between inserts and deletes.  Kinds and keys are drawn up front so the
+   measured loop allocates only what the skip list does.  Returns (minor,
+   direct major) words per op. *)
+let skiplist_words ~find_pct =
+  let t = SL.create () in
+  for k = 0 to 4095 do
+    ignore (SL.insert t (2 * k) k)
+  done;
+  let n = 20_000 in
+  let rng = Lf_kernel.Splitmix.create 13 in
+  let kinds = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng 100) in
+  let keys = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng 8192) in
+  let ins = find_pct + ((100 - find_pct) / 2) in
+  let run () =
+    for i = 0 to n - 1 do
+      let k = keys.(i) and c = kinds.(i) in
+      if c < find_pct then ignore (Sys.opaque_identity (SL.find t k))
+      else if c < ins then ignore (SL.insert t k k)
+      else ignore (SL.delete t k)
+    done
+  in
+  run ();
+  let minor, major = Support.words run in
+  SL.check_invariants t;
+  (minor /. float_of_int n, major /. float_of_int n)
+
+(* Measured 6.64 minor words per op for the 90/5/5 mix and exactly 5.00
+   for finds alone: a find allocates its [Mid k] key and the (n1, n2)
+   window, nothing per level; inserts add the tower nodes.  The bounds add
+   a ~0.4-word margin. *)
+let mix_minor_bound = 7.0
+let find_minor_bound = 5.5
+
+let test_search_alloc () =
+  let check name ~find_pct bound =
+    let minor, major = skiplist_words ~find_pct in
+    Printf.printf "%s: %.2f minor, %.4f direct major words/op\n" name minor
+      major;
+    Alcotest.(check (float 0.)) (name ^ ": direct major words per op") 0. major;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: minor words per op %.2f <= %.1f" name minor bound)
+      true (minor <= bound)
+  in
+  check "90/5/5 mix" ~find_pct:90 mix_minor_bound;
+  check "finds" ~find_pct:100 find_minor_bound
+
 let () =
   Alcotest.run "skiplist"
     [
@@ -684,4 +734,7 @@ let () =
             test_delete_min_unique_claims_sim;
         ] );
       ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
+      ( "allocation",
+        [ Alcotest.test_case "search allocates only its window" `Quick
+            test_search_alloc ] );
     ]

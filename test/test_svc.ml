@@ -606,18 +606,6 @@ let test_log_off_equivalence () =
 
 (* --- Allocation gates ---------------------------------------------------- *)
 
-(* Words [f ()] allocates: (minor, direct major).  Direct major is major
-   minus promoted: blocks allocated straight into the major heap, which
-   a [Gc.minor_words]-only count never sees.  Starting from an empty
-   minor heap keeps the count exact: without it, the first window after
-   a warm-up can read ~230k minor words high on OCaml 5.1. *)
-let words f =
-  Gc.minor ();
-  let mi0, pr0, ma0 = Gc.counters () in
-  f ();
-  let mi1, pr1, ma1 = Gc.counters () in
-  (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))
-
 (* A pipeline configured the way [lfdict serve] configures it (deadline,
    retry + budget, shed, breaker; no decision log) over a trivial
    allocation-free dictionary, on a manual nanosecond clock. *)
@@ -644,9 +632,9 @@ let serve_like_svc () =
   in
   (Svc.create cfg ops, advance)
 
-(* Measured 79.1 minor words per call (the breaker's, shed's and budget's
+(* Measured 82.0 minor words per call (the breaker's, shed's and budget's
    successor states, the mutex closures, the outcome); the bound adds a
-   ~7% margin.  Before the breaker's histogram copy was deleted a call
+   ~4% margin.  Before the breaker's histogram copy was deleted a call
    also put 5777 words straight on the major heap. *)
 let svc_minor_bound = 85
 
@@ -668,7 +656,7 @@ let test_svc_call_alloc () =
     done
   in
   run ();
-  let minor, major = words run in
+  let minor, major = Support.words run in
   let minor = minor /. float_of_int n and major = major /. float_of_int n in
   Printf.printf "Svc.call: %.2f minor, %.4f direct major words/call\n" minor
     major;
@@ -676,7 +664,7 @@ let test_svc_call_alloc () =
   (* An MGET/MSET line goes through [call_many]. *)
   let batch = Array.to_list (Array.sub reqs 0 16) in
   let _, major_many =
-    words (fun () ->
+    Support.words (fun () ->
         for _ = 1 to n / 16 do
           advance 100_000;
           ignore (Sys.opaque_identity (Svc.call_many svc batch))
@@ -693,7 +681,7 @@ let test_breaker_observe_alloc () =
     ref (Breaker.create (Breaker.config ~window:1000 ~min_calls:10 ()) ~now:0)
   in
   let _, major =
-    words (fun () ->
+    Support.words (fun () ->
         for i = 1 to 10_000 do
           b := Breaker.observe !b ~now:i ~ok:true ~latency:(i land 255)
         done)
