@@ -1,18 +1,16 @@
 (* GC attribution: where the tail latency goes.
 
    EXP-19 showed a p999/p99 cliff of ~170x on the real-memory workload
-   runner; the hypothesis (confirmed by EXP-22) is that the spikes are
-   minor-collection pauses caused by per-attempt descriptor allocation in
-   the C&S retry loops.  This module turns [Gc.quick_stat] — which reads
-   mutator-local counters and does not itself trigger a collection — into
-   attribution numbers the benches and exporters can emit next to the
-   latency histograms: collections and allocated/promoted words per
-   measured window, so a latency regression can be blamed on (or cleared
-   of) allocation pressure in one read.
+   runner, and minor-collection pauses were the suspect.  This module
+   turns [Gc.quick_stat] — which reads mutator-local counters and does
+   not itself trigger a collection — into attribution numbers the benches
+   and exporters can emit next to the latency histograms: collections and
+   allocated/promoted words per measured window, so a latency regression
+   can be blamed on (or cleared of) allocation pressure in one read.
 
    Everything here is process-global: OCaml's GC counters are per-runtime,
    not per-domain, so attribution windows are meaningful for single-domain
-   measured sections (how EXP-22 runs) and are upper bounds otherwise. *)
+   measured sections and are upper bounds otherwise. *)
 
 type snap = {
   minor_collections : int;

@@ -4,7 +4,7 @@
     spike can be blamed on — or cleared of — allocation pressure.
 
     The counters are per-runtime, not per-domain: windows are exact for
-    single-domain measured sections (how EXP-22 runs) and upper bounds
+    single-domain measured sections and upper bounds
     under parallelism. *)
 
 type snap = {

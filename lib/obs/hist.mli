@@ -43,7 +43,7 @@ val weighted : t -> (float * int) array
 val summary : t -> Lf_kernel.Stats.summary
 
 val p9999 : t -> float
-(** [percentile t 0.9999]: the extreme-tail quantile EXP-22 tracks.
+(** [percentile t 0.9999]: the extreme-tail quantile.
     @raise Invalid_argument on an empty histogram. *)
 
 val pp : Format.formatter -> t -> unit

@@ -143,7 +143,7 @@ let snapshot () =
   int_sample buf "lf_trace_dropped_total" [] (Recorder.dropped ());
   (* GC attribution: process-lifetime runtime counters, independent of the
      recorder level, so a scrape can always correlate a latency spike with
-     collection activity (EXP-22). *)
+     collection activity. *)
   let gc = Gc_attr.totals () in
   header buf "lf_gc_minor_collections_total" "Minor GC collections" "counter";
   int_sample buf "lf_gc_minor_collections_total" [] gc.Gc_attr.minor_collections;

@@ -17,8 +17,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = 'a SL.t
 
-  let create ?(max_level = 24) ?(reuse_descriptors = true) () =
-    SL.create_with ~max_level ~reuse_descriptors ()
+  let create ?(max_level = 24) () = SL.create_with ~max_level ()
 
   let push t prio v = SL.insert t prio v
   let pop_min t = SL.delete_min t
@@ -62,9 +61,8 @@ module Stamped (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = { q : 'a Q.t; stamp : int Atomic.t }
 
-  let create ?max_level ?reuse_descriptors () =
-    { q = Q.create ?max_level ?reuse_descriptors ();
-      stamp = Atomic.make 0 }
+  let create ?max_level () =
+    { q = Q.create ?max_level (); stamp = Atomic.make 0 }
 
   let push t prio v =
     let s = Atomic.fetch_and_add t.stamp 1 in

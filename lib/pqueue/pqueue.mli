@@ -11,10 +11,7 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create : ?max_level:int -> ?reuse_descriptors:bool -> unit -> 'a t
-  (** [reuse_descriptors] (default [true], descriptor interning — the
-      EXP-22 ablation when [false]) is forwarded to the underlying skip
-      list (see [Fr_skiplist.create_with]). *)
+  val create : ?max_level:int -> unit -> 'a t
 
   val push : 'a t -> K.t -> 'a -> bool
   (** [false] if this priority is already queued. *)
@@ -40,7 +37,7 @@ end
 module Stamped (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create : ?max_level:int -> ?reuse_descriptors:bool -> unit -> 'a t
+  val create : ?max_level:int -> unit -> 'a t
 
   val push : 'a t -> int -> 'a -> unit
   val pop_min : 'a t -> (int * 'a) option

@@ -60,7 +60,7 @@ let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
     enter ();
     (* Key-then-kind draw: [Opgen.kind] has constant constructors, so the
        per-op bookkeeping here allocates nothing (boxing an [Opgen.op]
-       per draw showed up as minor-heap churn in EXP-22's GC attribution). *)
+       per draw showed up as minor-heap churn in the GC attribution). *)
     for _ = 1 to ops_per_domain do
       let k = Keygen.draw keygen rng in
       match Opgen.draw_kind mix rng with

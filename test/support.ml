@@ -78,3 +78,70 @@ let words f =
   f ();
   let mi1 = Gc.minor_words () and _, pr1, ma1 = Gc.counters () in
   (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))
+
+(* Live heap words after a full major collection: what a structure keeps
+   reachable, as opposed to what it allocated. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).live_words
+
+(* Words per op of a seeded 1-domain op stream over [2 * preload] keys
+   against a structure preloaded with every even key: [find_pct]% finds,
+   the rest split evenly between inserts and deletes.  Kinds and keys are
+   drawn up front so the measured loop allocates only what the structure
+   does.  Returns (minor, direct major) words per op. *)
+let mix_words (module D : INT_DICT) ~preload ~find_pct =
+  let t = D.create () in
+  for k = 0 to preload - 1 do
+    ignore (D.insert t (2 * k) k)
+  done;
+  let n = 20_000 in
+  let rng = Lf_kernel.Splitmix.create 13 in
+  let kinds = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng 100) in
+  let keys = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng (2 * preload)) in
+  let ins = find_pct + ((100 - find_pct) / 2) in
+  let run () =
+    for i = 0 to n - 1 do
+      let k = keys.(i) and c = kinds.(i) in
+      if c < find_pct then ignore (Sys.opaque_identity (D.find t k))
+      else if c < ins then ignore (D.insert t k k)
+      else ignore (D.delete t k)
+    done
+  in
+  run ();
+  let minor, major = words run in
+  D.check_invariants t;
+  (minor /. float_of_int n, major /. float_of_int n)
+
+(* Retention under churn: unlinked nodes must become garbage.  Preload
+   [preload] distinct keys drawn from a seeded stream over [0, key_range),
+   then run [ops] seeded 50/50 inserts and deletes, 90% of them on the
+   lowest tenth of the keys.  Fails unless the live words per live key
+   that the structure adds to the heap stay within 1.5x of their value
+   right after the preload.  Per-node descriptor caches that name deleted
+   neighbours grew this figure severalfold. *)
+let check_retention (module D : INT_DICT) ~key_range ~preload ~ops =
+  let rng = Lf_kernel.Splitmix.create 29 in
+  let draw range = Lf_kernel.Splitmix.int rng range in
+  let base = live_words () in
+  let t = D.create () in
+  let per_key () =
+    float_of_int (live_words () - base) /. float_of_int (D.length t)
+  in
+  let n = ref 0 in
+  while !n < preload do
+    if D.insert t (draw key_range) 0 then incr n
+  done;
+  let preloaded = per_key () in
+  for _ = 1 to ops do
+    let k = if draw 10 < 9 then draw (key_range / 10) else draw key_range in
+    if draw 2 = 0 then ignore (D.insert t k 0) else ignore (D.delete t k)
+  done;
+  D.check_invariants t;
+  let churned = per_key () in
+  Printf.printf "live words/key: %.1f after preload, %.1f after churn\n"
+    preloaded churned;
+  Alcotest.(check bool)
+    (Printf.sprintf "live words/key %.1f <= 1.5 x %.1f" churned preloaded)
+    true
+    (churned <= 1.5 *. preloaded)

@@ -28,60 +28,6 @@ let oracle_flagless =
       in
       FR.to_list t = expected)
 
-(* --- Descriptor interning (EXP-22 ablation) --- *)
-
-(* Small key range so keys are deleted and re-inserted many times: that is
-   what cycles the per-node descriptor caches through stale and fresh
-   states, which is where an interning bug would corrupt a C&S. *)
-let reuse_matches_oracle =
-  Support.qcheck "interning ablation agrees with oracle"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let t = FR.create_with ~use_flags:true ~reuse_descriptors:true () in
-      let expected =
-        Support.run_against_oracle script
-          ~insert:(fun k v -> FR.insert t k v)
-          ~delete:(fun k -> FR.delete t k)
-          ~find:(fun k -> FR.find t k)
-      in
-      FR.check_invariants t;
-      FR.to_list t = expected)
-
-let reuse_audit_holds =
-  Support.qcheck "interning contract audits clean after random scripts"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let t = FR.create_with ~use_flags:true ~reuse_descriptors:true () in
-      List.iter
-        (fun (op, k) ->
-          match op with
-          | 0 -> ignore (FR.insert t k k)
-          | 1 -> ignore (FR.delete t k)
-          | _ -> ignore (FR.find t k))
-        script;
-      match FR.Debug.reuse_audit t with
-      | Ok () -> true
-      | Error msg -> Alcotest.failf "reuse audit: %s" msg)
-
-let reuse_onoff_equivalent =
-  Support.qcheck "interning on/off are observationally identical"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let run reuse =
-        let t = FR.create_with ~use_flags:true ~reuse_descriptors:reuse () in
-        let results =
-          List.map
-            (fun (op, k) ->
-              match op with
-              | 0 -> Some (FR.insert t k k)
-              | 1 -> Some (FR.delete t k)
-              | _ -> Option.map (fun v -> v = k) (FR.find t k))
-            script
-        in
-        (results, FR.to_list t)
-      in
-      run true = run false)
-
 let test_edges () =
   let t = FR.create () in
   Alcotest.(check bool) "delete on empty" false (FR.delete t 1);
@@ -483,6 +429,27 @@ let stress_conservation (module D : Support.INT_DICT) ~domains ~ops () =
 let test_domain_stress () =
   stress_conservation (module FR) ~domains:4 ~ops:20_000 ()
 
+(* --- Allocation gates --- *)
+
+(* Measured 18.84 minor words per op; the bound adds a ~5% margin. *)
+let mix_minor_bound = 19.8
+
+(* 90/5/5 over 2048 keys against a list preloaded with every even key
+   (1024 nodes). *)
+let test_mix_alloc () =
+  let minor, major = Support.mix_words (module FR) ~preload:1024 ~find_pct:90 in
+  Printf.printf "90/5/5 mix: %.2f minor, %.4f direct major words/op\n" minor
+    major;
+  Alcotest.(check (float 0.)) "direct major words per op" 0. major;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per op %.2f <= %.1f" minor mix_minor_bound)
+    true
+    (minor <= mix_minor_bound)
+
+let test_no_retention () =
+  Support.check_retention (module FR) ~key_range:2048 ~preload:1024
+    ~ops:100_000
+
 let () =
   Alcotest.run "fr_list"
     [
@@ -498,8 +465,12 @@ let () =
             test_fold_range_concurrent;
           range_prop;
         ] );
-      ( "interning",
-        [ reuse_matches_oracle; reuse_audit_holds; reuse_onoff_equivalent ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "90/5/5 mix words per op" `Quick test_mix_alloc;
+          Alcotest.test_case "unlinked nodes are not retained" `Quick
+            test_no_retention;
+        ] );
       ( "invariants",
         [
           Alcotest.test_case "random schedules" `Quick

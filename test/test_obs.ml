@@ -382,7 +382,7 @@ let test_prometheus_grammar () =
       Alcotest.(check bool) "mentions ops metric" true
         (contains s "lf_ops_total{op=\"insert\"} 1"))
 
-(* --- GC attribution (EXP-22) --- *)
+(* --- GC attribution --- *)
 
 let test_gc_attr_monotone () =
   let a = Lf_obs.Gc_attr.totals () in

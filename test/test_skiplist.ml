@@ -626,34 +626,11 @@ let test_domain_stress () =
 (* --- Allocation gate --- *)
 
 (* A seeded op stream over 8192 keys against a skip list preloaded with
-   every even key (4096 towers): [find_pct]% finds, the rest split evenly
-   between inserts and deletes.  Kinds and keys are drawn up front so the
-   measured loop allocates only what the skip list does.  Returns (minor,
-   direct major) words per op. *)
+   every even key (4096 towers). *)
 let skiplist_words ~find_pct =
-  let t = SL.create () in
-  for k = 0 to 4095 do
-    ignore (SL.insert t (2 * k) k)
-  done;
-  let n = 20_000 in
-  let rng = Lf_kernel.Splitmix.create 13 in
-  let kinds = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng 100) in
-  let keys = Array.init n (fun _ -> Lf_kernel.Splitmix.int rng 8192) in
-  let ins = find_pct + ((100 - find_pct) / 2) in
-  let run () =
-    for i = 0 to n - 1 do
-      let k = keys.(i) and c = kinds.(i) in
-      if c < find_pct then ignore (Sys.opaque_identity (SL.find t k))
-      else if c < ins then ignore (SL.insert t k k)
-      else ignore (SL.delete t k)
-    done
-  in
-  run ();
-  let minor, major = Support.words run in
-  SL.check_invariants t;
-  (minor /. float_of_int n, major /. float_of_int n)
+  Support.mix_words (module SL) ~preload:4096 ~find_pct
 
-(* Measured 6.64 minor words per op for the 90/5/5 mix and exactly 5.00
+(* Measured 6.54 minor words per op for the 90/5/5 mix and exactly 5.00
    for finds alone: a find allocates its [Mid k] key and the (n1, n2)
    window, nothing per level; inserts add the tower nodes.  The bounds add
    a ~0.4-word margin. *)
@@ -672,6 +649,10 @@ let test_search_alloc () =
   in
   check "90/5/5 mix" ~find_pct:90 mix_minor_bound;
   check "finds" ~find_pct:100 find_minor_bound
+
+let test_no_retention () =
+  Support.check_retention (module SL) ~key_range:8192 ~preload:4096
+    ~ops:300_000
 
 let () =
   Alcotest.run "skiplist"
@@ -735,6 +716,10 @@ let () =
         ] );
       ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
       ( "allocation",
-        [ Alcotest.test_case "search allocates only its window" `Quick
-            test_search_alloc ] );
+        [
+          Alcotest.test_case "search allocates only its window" `Quick
+            test_search_alloc;
+          Alcotest.test_case "unlinked towers are not retained" `Quick
+            test_no_retention;
+        ] );
     ]
