@@ -627,32 +627,10 @@ let model_cmd =
       $ out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* serve / call: a minimal line-protocol TCP front over the service
-   layer (lib/svc).  One request per line (PUT/DEL/GET/HEALTH/METRICS/
-   QUIT/SHUTDOWN — see Lf_svc.Wire); every operation runs through the
-   Svc pipeline, so deadlines, retry budgets, shedding and the breaker
-   are all live behind the socket.  Sequential accept loop: this is the
-   demo front for EXP-20 and the CI smoke, not a production server. *)
-
-(* Wrap an implementation as Svc closures, with recorder spans around
-   each operation so METRICS (the PR 4 Prometheus snapshot) has live
-   operation counters and latency quantiles to report. *)
-let svc_ops (module D : Lf_workload.Runner.INT_DICT) : Lf_svc.Svc.ops =
-  let t = D.create () in
-  let span op key f =
-    Lf_obs.Recorder.span_begin ~op ~key;
-    let ok = f () in
-    Lf_obs.Recorder.span_end ~op ~ok;
-    ok
-  in
-  {
-    insert =
-      (fun k v -> span Lf_obs.Obs_event.Insert k (fun () -> D.insert t k v));
-    delete = (fun k -> span Lf_obs.Obs_event.Delete k (fun () -> D.delete t k));
-    find =
-      (fun k ->
-        span Lf_obs.Obs_event.Find k (fun () -> Option.is_some (D.find t k)));
-  }
+(* serve / call: the line-protocol TCP server (Lf_serve.Server: a
+   consistent-hash router over --shards instances, each behind the
+   lib/svc pipeline) and a tiny client for it.  See Lf_svc.Wire for the
+   protocol. *)
 
 let port_arg =
   Arg.(
@@ -705,8 +683,8 @@ let shards_arg =
            consistent-hash router, each shard wrapped in its own \
            pipeline, so one faulted shard degrades only its own \
            keyspace.  HEALTH reports per-shard status; KILL <i> makes \
-           shard $(i,i)'s backend fail (containment demo).  1 = the \
-           plain single-instance server.")
+           shard $(i,i)'s backend fail (containment demo).  The default, \
+           1, is a 1-shard router: the same server with one instance.")
 
 let trace_requests_flag =
   Arg.(
@@ -765,387 +743,19 @@ let key_range_arg =
            still served and replicated, but not migrated.")
 
 let serve_cmd =
-  let run impl port deadline_ms retry budget shed breaker shards trace_requests
-      dump_dir self_heal replicas key_range =
-    Lf_obs.Recorder.set_level Lf_obs.Recorder.Off;
-    Lf_obs.Recorder.reset ();
-    Lf_obs.Recorder.set_clock Lf_obs.Recorder.Real;
-    Lf_obs.Recorder.set_level Lf_obs.Recorder.Histograms;
-    let (module D : Lf_workload.Runner.INT_DICT) =
-      resolve impl false ~hints:true
-    in
-    let clock = Lf_svc.Clock.real () in
-    let ms = Lf_svc.Clock.ms clock in
-    let now () = Lf_svc.Clock.now clock in
-    (* Tracing: the request spans and the recorder's structure-op spans
-       must tick off the SAME clock, or op spans would not nest inside
-       their request spans — align the recorder to the pipeline clock. *)
-    if trace_requests then begin
-      Lf_obs.Span.reset ();
-      Lf_obs.Span.set_level Lf_obs.Span.Spans;
-      Lf_obs.Recorder.set_clock (Lf_obs.Recorder.Manual now)
-    end;
-    (* The serve SLO: 99% of requests good over a 5s fast window and a
-       60s slow window, quarter-second buckets.  Served counts as good;
-       rejections and failures burn budget. *)
-    let slo =
-      Lf_obs.Slo.create ~target:0.99 ~bucket:(ms 250)
-        ~windows:[ ms 5_000; ms 60_000 ]
-        ()
-    in
-    let cfg =
-      Lf_svc.Svc.config ~clock
-        ~deadline:(if deadline_ms <= 0 then max_int else ms deadline_ms)
-        ~retry:
-          (if retry <= 0 then None
-           else
-             Some (Lf_svc.Retry.policy ~max_attempts:retry ~base_delay:(ms 1) ()))
-        ~budget:
-          (if budget <= 0 then Lf_svc.Retry.Budget.unlimited
-           else
-             Lf_svc.Retry.Budget.config ~capacity:budget
-               ~refill_every:(ms 100) ())
-        ~shed:
-          (if shed <= 0 then None
-           else Some (Lf_svc.Shed.config ~max_queue:shed ~est_init:(ms 1) ()))
-        ~breaker:
-          (if not breaker then None
-           else
-             Some
-               (Lf_svc.Breaker.config ~window:(ms 1000)
-                  ~latency_threshold:(ms 100) ~open_for:(ms 1000) ()))
+  let run impl port deadline_ms retry retry_budget shed breaker shards
+      trace_requests dump_dir self_heal replicas key_range =
+    let dict = resolve impl false ~hints:true in
+    match
+      Lf_serve.Server.create ~deadline_ms ~retry ~retry_budget ~shed ~breaker
+        ~shards ~trace_requests ~dump_dir ~self_heal ~replicas ~key_range
         ~backoff:(fun d -> Unix.sleepf (float_of_int d /. 1e9))
-        ()
-    in
-    (* Two server shapes behind one dispatch: the single-instance
-       pipeline (unchanged), or --shards N instances behind the
-       consistent-hash router, each with its own pipeline built from
-       the same flags.  KILL flips a per-shard switch that makes that
-       backend raise — the containment demo for the CI smoke: the
-       victim's breaker trips and HEALTH turns "s<i>=degraded" while
-       the other shards keep answering.  The accept loop is
-       sequential, so plain bool switches suffice. *)
-    if (self_heal || replicas) && shards <= 1 then begin
-      prerr_endline "lfdict serve: --self-heal/--replicas need --shards > 1";
-      exit 2
-    end;
-    let op_h, multi_h, health_h, metrics_h, kill_h, newly_open_h, replicas_h,
-        heal_h, tick_raw =
-      if shards <= 1 then
-        let svc = Lf_svc.Svc.create cfg (svc_ops (module D)) in
-        ( (fun ctx req -> Lf_svc.Svc.call svc ~ctx req),
-          (fun ctx reqs -> Lf_svc.Svc.call_many svc ~ctx reqs),
-          (fun () -> Lf_svc.Wire.health_line (Lf_svc.Svc.stats svc)),
-          (fun () -> Lf_obs.Prom.snapshot ()),
-          (fun _ -> Lf_svc.Wire.format_error "no shards (serve with --shards)"),
-          (let prev = ref false in
-           fun () ->
-             let open_ =
-               match (Lf_svc.Svc.stats svc).breaker with
-               | Some b when b <> "closed" -> true
-               | Some _ | None -> false
-             in
-             let fresh = open_ && not !prev in
-             prev := open_;
-             if fresh then [ 0 ] else []),
-          (fun () ->
-            Lf_svc.Wire.format_error "no replicas (serve with --replicas)"),
-          (fun () ->
-            Lf_svc.Wire.format_error "no supervisor (serve with --self-heal)"),
-          fun () -> [] )
-      else begin
-        let kills = Array.make shards false in
-        let mk_backend i : Lf_shard.Router.backend =
-          let t = D.create () in
-          let guard f = if kills.(i) then failwith "shard killed" else f () in
-          let span op key ok f =
-            Lf_obs.Recorder.span_begin ~op ~key;
-            let r = f () in
-            Lf_obs.Recorder.span_end ~op ~ok:(ok r);
-            r
-          in
-          {
-            Lf_shard.Router.insert =
-              (fun k v ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Insert k Fun.id (fun () ->
-                        D.insert t k v)));
-            delete =
-              (fun k ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Delete k Fun.id (fun () ->
-                        D.delete t k)));
-            find =
-              (fun k ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Find k Option.is_some (fun () ->
-                        D.find t k)));
-            batched = None;
-          }
-        in
-        let ring = Lf_shard.Hash_ring.create ~seed:1 ~shards () in
-        let router =
-          Lf_shard.Router.create ~ring ~svc_config:(fun _ -> cfg) mk_backend
-        in
-        (* Replicas: every slot's copy lives one shard over, in a store
-           private to the replica layer (never a shard backend), fed
-           asynchronously from the write journal on the supervisor's
-           tick. *)
-        let reps =
-          if not replicas then None
-          else begin
-            let r = Lf_shard.Replica.create () in
-            for slot = 0 to shards - 1 do
-              let copy = D.create () in
-              Lf_shard.Replica.add_slot r ~slot
-                ~on:((Lf_shard.Hash_ring.owner ring slot + 1) mod shards)
-                ~store:
-                  {
-                    Lf_shard.Replica.r_insert = (fun k v -> D.insert copy k v);
-                    r_delete = (fun k -> D.delete copy k);
-                    r_find = (fun k -> D.find copy k);
-                  }
-            done;
-            Lf_shard.Router.attach_replicas router r;
-            Some r
-          end
-        in
-        let sup =
-          if not self_heal then None
-          else
-            Some
-              (Lf_shard.Supervisor.create
-                 (Lf_shard.Supervisor.config ~clock ~poll_every:(ms 100)
-                    ~sick_after:2 ~healthy_after:2 ~move_budget:2
-                    ~backoff_base:(ms 200) ~backoff_max:(ms 2000)
-                    ~apply_budget:1024 ~key_range ())
-                 ~shards)
-        in
-        let mon = Lf_shard.Health.monitor () in
-        ( (fun ctx req -> Lf_shard.Router.call router ~ctx req),
-          (fun ctx reqs -> Lf_shard.Router.call_many router ~ctx reqs),
-          (fun () -> Lf_shard.Health.line router),
-          (fun () ->
-            let shard_of k = string_of_int (Lf_shard.Router.route router k) in
-            Lf_obs.Prom.snapshot ()
-            ^ Lf_obs.Prom.render_metrics
-                (Lf_shard.Health.metrics router
-                @ [
-                    {
-                      Lf_obs.Prom.m_name = "lf_shard_cas_failures_total";
-                      m_help =
-                        "Keyed C&S failures attributed to the owning shard";
-                      m_type = "counter";
-                      m_samples =
-                        List.map
-                          (fun (g, n) ->
-                            ([ ("shard", g) ], float_of_int n))
-                          (Lf_obs.Profile.by_group ~group:shard_of
-                             (Lf_obs.Recorder.profile ()));
-                    };
-                  ])),
-          (fun s ->
-            if s < 0 || s >= shards then Lf_svc.Wire.format_error "bad shard"
-            else begin
-              kills.(s) <- true;
-              (* The kill's own bundle names this shard; pre-marking the
-                 monitor keeps the inevitable breaker trip from firing a
-                 second, breaker-open bundle for the same incident. *)
-              Lf_shard.Health.mark_open mon s;
-              "OK true"
-            end),
-          (fun () -> Lf_shard.Health.newly_open mon router),
-          (fun () ->
-            match reps with
-            | None ->
-                Lf_svc.Wire.format_error "no replicas (serve with --replicas)"
-            | Some r ->
-                let rs = Lf_shard.Replica.stats r ~now:(now ()) in
-                Printf.sprintf "REPLICAS n=%d%s" (List.length rs)
-                  (String.concat ""
-                     (List.map
-                        (fun (s : Lf_shard.Replica.slot_stats) ->
-                          Printf.sprintf
-                            " slot=%d on=%d lag=%d pending=%d applied=%d"
-                            s.Lf_shard.Replica.s_slot s.Lf_shard.Replica.s_on
-                            s.Lf_shard.Replica.s_lag
-                            s.Lf_shard.Replica.s_pending
-                            s.Lf_shard.Replica.s_applied)
-                        rs))),
-          (fun () ->
-            match sup with
-            | None ->
-                Lf_svc.Wire.format_error "no supervisor (serve with --self-heal)"
-            | Some sup -> Lf_shard.Supervisor.line sup),
-          fun () ->
-            match sup with
-            | Some sup ->
-                let fast_burn = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
-                ignore (Lf_shard.Supervisor.run_tick ~fast_burn sup router);
-                Lf_shard.Supervisor.events sup
-            | None ->
-                (* Replication without a supervisor still needs its
-                   async applier: a bounded slice per request. *)
-                (match reps with
-                | Some r -> ignore (Lf_shard.Replica.apply ~budget:256 r)
-                | None -> ());
-                [] )
-      end
-    in
-    (* Flight-recorder anomaly triggers.  The dump is a serialization of
-       rings that are already populated, so firing it from the accept
-       loop costs one traversal — no steady-state overhead. *)
-    let dump reason meta =
-      if trace_requests then begin
-        let path, _ = Lf_obs.Flight.dump ~dir:dump_dir ~reason ~meta () in
-        Printf.printf "lfdict serve: flight dump %s (%s)\n%!" path reason
-      end
-    in
-    let burning = ref false in
-    let check_anomalies () =
-      if trace_requests then begin
-        (* The monitor caches the last open-breaker snapshot, so a KILL
-           (which pre-marks its victim and dumps its own bundle) followed
-           immediately by FLIGHTDUMP or traffic cannot double-fire a
-           breaker-open bundle for the same opening. *)
-        let newly = newly_open_h () in
-        if newly <> [] then
-          dump "breaker-open"
-            [
-              ( "shards",
-                String.concat "," (List.map string_of_int newly) );
-            ];
-        let fb = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
-        if fb && not !burning then dump "slo-fast-burn" [];
-        burning := fb
-      end
-    in
-    (* The supervisor rides the request path: every wire line gives it a
-       chance to poll — the poll_every gate (Clock ticks, never sleeps)
-       makes the extra calls free — and its heal begin/end events become
-       flight bundles. *)
-    let sup_tick () =
-      List.iter
-        (function
-          | Lf_shard.Supervisor.Heal_begun { e_shard; e_slot; e_to; e_via } ->
-              dump "heal-begin"
-                [
-                  ("shard", string_of_int e_shard);
-                  ("slot", string_of_int e_slot);
-                  ("to", string_of_int e_to);
-                  ( "via",
-                    match e_via with
-                    | Lf_shard.Supervisor.Copy -> "copy"
-                    | Lf_shard.Supervisor.Promote -> "promote" );
-                ]
-          | Lf_shard.Supervisor.Heal_ended { e_shard; e_slot; e_ok; e_moved }
-            ->
-              dump "heal-end"
-                [
-                  ("shard", string_of_int e_shard);
-                  ("slot", string_of_int e_slot);
-                  ("ok", string_of_bool e_ok);
-                  ("moved", string_of_int e_moved);
-                ])
-        (tick_raw ())
-    in
-    (* A stale answer is still an answered read: the SLO counts served,
-       fresh or lag-tagged — the staleness contract is the wire token's
-       job, the burn rate's job is "did we answer". *)
-    let good = function
-      | Lf_svc.Svc.Served _ | Lf_svc.Svc.Served_stale _ -> true
-      | Lf_svc.Svc.Rejected _ | Lf_svc.Svc.Failed _ -> false
-    in
-    (* One root span per wire request; ended ok iff every outcome was
-       served, which is also what the SLO counts as good. *)
-    let traced name f =
-      let ctx =
-        if trace_requests then Lf_obs.Span.root ~name ~now:(now ())
-        else Lf_obs.Span.nil
-      in
-      let outcomes = f ctx in
-      let ok = List.for_all good outcomes in
-      Lf_obs.Span.end_ ctx ~now:(now ()) ~ok;
-      List.iter (fun o -> Lf_obs.Slo.observe slo ~now:(now ()) ~good:(good o))
-        outcomes;
-      check_anomalies ();
-      outcomes
-    in
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen sock 8;
-    Printf.printf "lfdict serve: %s on 127.0.0.1:%d\n%!" D.name port;
-    let shutdown = ref false in
-    while not !shutdown do
-      let fd, _ = Unix.accept sock in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let quit = ref false in
-      (try
-         while not (!quit || !shutdown) do
-           match input_line ic with
-           | exception End_of_file -> quit := true
-           | line ->
-               sup_tick ();
-               (match Lf_svc.Wire.parse line with
-               | Error e ->
-                   output_string oc (Lf_svc.Wire.format_error e);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Op req) ->
-                   let out =
-                     match traced "request" (fun ctx -> [ op_h ctx req ]) with
-                     | [ o ] -> o
-                     | _ -> assert false
-                   in
-                   output_string oc (Lf_svc.Wire.format_outcome out);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Multi reqs) ->
-                   let outs = traced "multi" (fun ctx -> multi_h ctx reqs) in
-                   output_string oc (Lf_svc.Wire.format_multi outs);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Kill s) ->
-                   let resp = kill_h s in
-                   output_string oc resp;
-                   output_char oc '\n';
-                   if resp = "OK true" then
-                     dump "shard-kill" [ ("shard", string_of_int s) ]
-               | Ok Lf_svc.Wire.Health ->
-                   output_string oc (health_h ());
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Metrics ->
-                   output_string oc (metrics_h ());
-                   output_string oc "END\n"
-               | Ok Lf_svc.Wire.Slo ->
-                   output_string oc (Lf_obs.Slo.line slo ~now:(now ()));
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Replicas ->
-                   output_string oc (replicas_h ());
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Heal ->
-                   output_string oc (heal_h ());
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Flightdump ->
-                   (if not trace_requests then
-                      output_string oc
-                        (Lf_svc.Wire.format_error
-                           "tracing off (serve with --trace-requests)")
-                    else
-                      let path, _ =
-                        Lf_obs.Flight.dump ~dir:dump_dir ~reason:"manual" ()
-                      in
-                      output_string oc ("OK " ^ path));
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Quit -> quit := true
-               | Ok Lf_svc.Wire.Shutdown ->
-                   output_string oc "OK true\n";
-                   shutdown := true);
-               flush oc
-         done
-       with Sys_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    done;
-    Unix.close sock
+        dict
+    with
+    | exception Invalid_argument msg ->
+        prerr_endline ("lfdict serve: " ^ msg);
+        exit 2
+    | server -> Lf_serve.Server.run server ~port
   in
   Cmd.v
     (Cmd.info "serve"

@@ -191,34 +191,41 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      returns two nodes (n1, n2) such that at some instant during the search
      n1.right = n2 and n1.key <= k < n2.key.  With [inclusive:false] this is
      the paper's SearchFrom(k - eps, .): n1.key < k <= n2.key.  Marked nodes
-     encountered along the way are physically deleted (helping). *)
+     encountered along the way are physically deleted (helping).  Two
+     top-level loops with no closures or refs: a search allocates only the
+     returned pair. *)
+  let goes_past ~inclusive k key = if inclusive then BK.le key k else BK.lt key k
+
+  (* The outer loop (line 2): while [next] lies before the target. *)
+  let rec search_outer t ~inclusive k curr next =
+    if goes_past ~inclusive k next.key then search_inner t ~inclusive k curr next
+    else (curr, next)
+
+  (* Lines 3-6: loop while [next] is marked unless both [curr] and [next]
+     are marked and adjacent (in which case [curr] was marked first and we
+     may travel through both); then step [curr] forward if [next] still
+     lies before the target. *)
+  and search_inner t ~inclusive k curr next =
+    if
+      (M.get next.succ).mark
+      &&
+      let cs = M.get curr.succ in
+      (not cs.mark) || not (same_node cs.right next)
+    then begin
+      let cs = M.get curr.succ in
+      if same_node cs.right next then help_marked t curr next;
+      let next = as_node (M.get curr.succ).right in
+      M.event Ev.Next_update;
+      search_inner t ~inclusive k curr next
+    end
+    else if goes_past ~inclusive k next.key then begin
+      M.event Ev.Curr_update;
+      search_outer t ~inclusive k next (as_node (M.get next.succ).right)
+    end
+    else (curr, next)
+
   let search_from t ~inclusive k start =
-    let goes_past key = if inclusive then BK.le key k else BK.lt key k in
-    let curr = ref start in
-    let next = ref (as_node (M.get start.succ).right) in
-    while goes_past !next.key do
-      (* Lines 3-6: loop while [next] is marked unless both [curr] and
-         [next] are marked and adjacent (in which case [curr] was marked
-         first and we may travel through both). *)
-      let continue_inner () =
-        (M.get !next.succ).mark
-        &&
-        let cs = M.get !curr.succ in
-        (not cs.mark) || not (same_node cs.right !next)
-      in
-      while continue_inner () do
-        let cs = M.get !curr.succ in
-        if same_node cs.right !next then help_marked t !curr !next;
-        next := as_node (M.get !curr.succ).right;
-        M.event Ev.Next_update
-      done;
-      if goes_past !next.key then begin
-        curr := !next;
-        M.event Ev.Curr_update;
-        next := as_node (M.get !curr.succ).right
-      end
-    done;
-    (!curr, !next)
+    search_outer t ~inclusive k start (as_node (M.get start.succ).right)
 
   (* Chain-of-backlinks traversal (TRYFLAG line 9-10, INSERT line 17-18):
      walk left until an unmarked node.  Backlink chains are key-decreasing

@@ -18,6 +18,10 @@ val next_int64 : t -> int64
 val bits : t -> int
 (** A uniformly random non-negative 62-bit integer. *)
 
+val hash : int -> int
+(** [hash seed = bits (create seed)], without allocating: a seeded
+    62-bit hash of an integer. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]; rejection-sampled, so unbiased.
     @raise Invalid_argument if [n <= 0]. *)

@@ -2,9 +2,10 @@
    SplitMix hash of (seed, slot, vnode); a key routes to the slot owning
    the first point at or after the key's own hash, wrapping at the top.
 
-   Both hashes come from throwaway SplitMix streams (the repo's one
-   source of randomness), salted differently so key positions are not
-   correlated with point positions. *)
+   Both hashes are the first output of a SplitMix stream (the repo's one
+   source of randomness, here as the allocation-free [Splitmix.hash]),
+   salted differently so key positions are not correlated with point
+   positions. *)
 
 type t = {
   seed : int;
@@ -19,8 +20,7 @@ let point_salt = 0x7ee3a2d1
 let key_salt = 0x1c64e6d5
 
 let hash ~salt ~seed v =
-  Lf_kernel.Splitmix.bits
-    (Lf_kernel.Splitmix.create (salt lxor (seed * 0x01000193) lxor (v * 0x5bd1)))
+  Lf_kernel.Splitmix.hash (salt lxor (seed * 0x01000193) lxor (v * 0x5bd1))
 
 let create ?(vnodes = 64) ~seed ~shards () =
   if shards < 1 then invalid_arg "Hash_ring.create: shards must be >= 1";

@@ -155,17 +155,18 @@ let route t k =
 let begin_op t k =
   Mutex.lock t.mu;
   let s = owner_locked t k in
-  Hashtbl.replace t.inflight k
-    (1 + Option.value (Hashtbl.find_opt t.inflight k) ~default:0);
+  (match Hashtbl.find t.inflight k with
+  | n -> Hashtbl.replace t.inflight k (n + 1)
+  | exception Not_found -> Hashtbl.replace t.inflight k 1);
   Mutex.unlock t.mu;
   s
 
 let end_op t k =
   Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.inflight k with
-  | Some 1 -> Hashtbl.remove t.inflight k
-  | Some n -> Hashtbl.replace t.inflight k (n - 1)
-  | None -> ());
+  (match Hashtbl.find t.inflight k with
+  | 1 -> Hashtbl.remove t.inflight k
+  | n -> Hashtbl.replace t.inflight k (n - 1)
+  | exception Not_found -> ());
   if t.migration <> None then Condition.broadcast t.drained;
   Mutex.unlock t.mu
 
@@ -261,18 +262,28 @@ let record_write t req out =
 let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
   let k = key_of req in
   let s = begin_op t k in
-  Fun.protect ~finally:(fun () -> end_op t k) @@ fun () ->
-  let sh = t.shards.(s) in
-  (* One fan-out span per shard touched, the shard's pipeline spans
-     nested inside it. *)
-  let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
-  let out =
-    maybe_hedge t ~ctx:fspan sh req
-      (Svc.call sh.svc ~ctx:fspan ?deadline ?queue_depth req)
-  in
-  record_write t req out;
-  Span.end_ fspan ~now:(now_of t fspan) ~ok:(outcome_ok out);
-  out
+  (* [match ... with exception] rather than [Fun.protect]: the key leaves
+     the inflight table on every exit without a closure per call. *)
+  match
+    let sh = t.shards.(s) in
+    (* One fan-out span per shard touched, the shard's pipeline spans
+       nested inside it. *)
+    let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
+    let out =
+      maybe_hedge t ~ctx:fspan sh req
+        (Svc.call sh.svc ~ctx:fspan ?deadline ?queue_depth req)
+    in
+    record_write t req out;
+    Span.end_ fspan ~now:(now_of t fspan) ~ok:(outcome_ok out);
+    out
+  with
+  | out ->
+      end_op t k;
+      out
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_op t k;
+      Printexc.raise_with_backtrace e bt
 
 let call_many t ?(ctx = Span.nil) ?deadline ?queue_depth reqs =
   match reqs with

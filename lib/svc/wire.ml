@@ -13,6 +13,13 @@ type command =
 
 let max_batch = 64
 
+(* The longest well-formed line: an MSET of [max_batch] pairs, single
+   spaces, every integer as wide as [min_int] in decimal, and the [\r] a
+   telnet client appends. *)
+let max_line =
+  let int_width = String.length (string_of_int min_int) in
+  String.length "MSET" + (2 * max_batch * (1 + int_width)) + 1
+
 let parse line =
   let line =
     let n = String.length line in
@@ -109,16 +116,3 @@ let format_multi outcomes =
     (String.concat " " (List.map outcome_token outcomes))
 
 let format_error msg = "ERR " ^ msg
-
-let health_line (s : Svc.stats) =
-  let status =
-    match s.breaker with
-    | Some "closed" | None -> "ok"
-    | Some _ -> "degraded"
-  in
-  let rejected = List.fold_left (fun a (_, n) -> a + n) 0 s.rejected in
-  Printf.sprintf
-    "%s mode=%s breaker=%s calls=%d served=%d failed=%d rejected=%d retries=%d"
-    status s.mode
-    (Option.value s.breaker ~default:"none")
-    s.calls s.served s.failed rejected s.retries

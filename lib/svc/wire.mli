@@ -1,6 +1,7 @@
 (** The [lfdict serve] line protocol, as pure parse/format functions so
-    the TCP front in [bin/lfdict.ml] stays a dumb read/write loop and
-    the protocol itself is unit-testable without sockets.
+    the server's dispatcher ([Lf_serve.Server.handle]) and its TCP
+    transport never build protocol text by hand, and the protocol
+    itself is unit-testable without sockets.
 
     One request per line, ASCII, space-separated:
 
@@ -34,12 +35,13 @@
     Batches are validated at parse time: empty batches, batches above
     {!max_batch} keys, duplicate keys, and MSET with an odd argument
     count are all [ERR] — a duplicate key has no well-defined per-key
-    outcome. *)
+    outcome.  A line longer than {!max_line} is not a request: the
+    transport answers [ERR line too long] and closes the connection. *)
 
 type command =
   | Op of Svc.req
   | Multi of Svc.req list  (** MGET/MSET: scatter-gather, per-key outcomes *)
-  | Kill of int  (** chaos verb for the multi-shard demo server *)
+  | Kill of int  (** chaos: make one shard's backend fail *)
   | Health
   | Metrics
   | Slo  (** burn-rate summary ([SLO ...] line, or [ERR] untracked) *)
@@ -52,6 +54,12 @@ type command =
 val max_batch : int
 (** Largest accepted multi-key batch (64). *)
 
+val max_line : int
+(** Length of the longest well-formed line, without its newline: an MSET
+    of {!max_batch} pairs with single spaces, every integer as wide as
+    [min_int] in decimal, plus a trailing [\r] (2693).  Derived from
+    {!max_batch}, not a knob. *)
+
 val parse : string -> (command, string) result
 (** Case-insensitive on the verb; trailing [\r] (telnet) is ignored. *)
 
@@ -62,7 +70,3 @@ val format_multi : Svc.outcome list -> string
 
 val format_error : string -> string
 (** The [ERR ...] line for unparseable input. *)
-
-val health_line : Svc.stats -> string
-(** [ok] while the breaker (if any) is closed, [degraded] otherwise,
-    followed by [key=value] counters — stable order, one line. *)

@@ -145,3 +145,34 @@ let check_retention (module D : INT_DICT) ~key_range ~preload ~ops =
     (Printf.sprintf "live words/key %.1f <= 1.5 x %.1f" churned preloaded)
     true
     (churned <= 1.5 *. preloaded)
+
+(* A pipeline config the way [lfdict serve] builds it (deadline, retry +
+   budget, shed, breaker; no decision log) on a manual nanosecond clock,
+   plus the clock's advance: the allocation gates of test_svc and
+   test_shard share it. *)
+let serve_like_config () =
+  let module Svc = Lf_svc.Svc in
+  let clock, advance = Lf_svc.Clock.manual ~ticks_per_ms:1_000_000 () in
+  let ms = Lf_svc.Clock.ms clock in
+  let cfg =
+    Svc.config ~clock ~deadline:(ms 50)
+      ~retry:(Some (Lf_svc.Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
+      ~budget:
+        (Lf_svc.Retry.Budget.config ~capacity:100 ~refill_every:(ms 100) ())
+      ~shed:(Some (Lf_svc.Shed.config ~max_queue:128 ~est_init:(ms 1) ()))
+      ~breaker:
+        (Some
+           (Lf_svc.Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
+              ~open_for:(ms 1000) ()))
+      ()
+  in
+  (cfg, advance)
+
+(* The 64 requests the serve-shaped gates cycle through: finds, inserts
+   and deletes in turn. *)
+let serve_like_reqs =
+  Array.init 64 (fun i ->
+      match i mod 3 with
+      | 0 -> Lf_svc.Svc.Find i
+      | 1 -> Lf_svc.Svc.Insert (i, i)
+      | _ -> Lf_svc.Svc.Delete i)

@@ -606,23 +606,10 @@ let test_log_off_equivalence () =
 
 (* --- Allocation gates ---------------------------------------------------- *)
 
-(* A pipeline configured the way [lfdict serve] configures it (deadline,
-   retry + budget, shed, breaker; no decision log) over a trivial
-   allocation-free dictionary, on a manual nanosecond clock. *)
+(* A pipeline configured the way [lfdict serve] configures it over a
+   trivial allocation-free dictionary. *)
 let serve_like_svc () =
-  let clock, advance = Clock.manual ~ticks_per_ms:1_000_000 () in
-  let ms = Clock.ms clock in
-  let cfg =
-    Svc.config ~clock ~deadline:(ms 50)
-      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
-      ~budget:(Retry.Budget.config ~capacity:100 ~refill_every:(ms 100) ())
-      ~shed:(Some (Shed.config ~max_queue:128 ~est_init:(ms 1) ()))
-      ~breaker:
-        (Some
-           (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
-              ~open_for:(ms 1000) ()))
-      ()
-  in
+  let cfg, advance = Support.serve_like_config () in
   let ops =
     {
       Svc.insert = (fun _ _ -> true);
@@ -640,13 +627,7 @@ let svc_minor_bound = 85
 
 let test_svc_call_alloc () =
   let svc, advance = serve_like_svc () in
-  let reqs =
-    Array.init 64 (fun i ->
-        match i mod 3 with
-        | 0 -> Svc.Find i
-        | 1 -> Svc.Insert (i, i)
-        | _ -> Svc.Delete i)
-  in
+  let reqs = Support.serve_like_reqs in
   let n = 20_000 in
   let run () =
     for i = 1 to n do
